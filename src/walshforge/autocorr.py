@@ -9,7 +9,6 @@ cross-check between two independent computation paths.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,9 @@ def x_alpha_all(ctx: FieldCtx, g: TracePoly, threads: int = 1) -> XAlphaTable:
             signed[a] = q - 2 * int((bits ^ bits[idx ^ a]).sum())
 
     if threads > 1:
+        # imported here: the thread pool (and the logging it pulls in) costs
+        # single-threaded runs over half a megabyte of resident memory
+        from concurrent.futures import ThreadPoolExecutor
         step = -(-(q - 1) // threads)
         ranges = [(lo, min(lo + step, q)) for lo in range(1, q, step)]
         with ThreadPoolExecutor(max_workers=threads) as pool:

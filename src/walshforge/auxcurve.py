@@ -25,14 +25,19 @@ The same trace conditions also arise from rational functions pulled along
 the curve; ``f_on_curve`` / ``g_on_curve`` evaluate those directly so the
 equalities Tr(f) = Tr(eta*v^3), Tr(g) = Tr(eta*(v^2+v)) are themselves
 testable rather than assumed.
+
+``s7_sum``, ``enumerate_points`` and ``count_n123`` are whole-field array
+passes over every x (or every point) at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolfn import TracePoly
-from .classify7 import eta_of_alpha, pair_zero_count
+from .classify7 import eta_all, pair_zero_count
 from .field import FieldCtx
 from .report import Check, slack_bound
 
@@ -47,11 +52,8 @@ class AuxCurvePoints:
 def s7_sum(ctx: FieldCtx, gamma: int) -> int:
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    q = ctx.q
-    total = 1  # x = 0 contributes (-1)^Tr(0) = +1
-    for x in range(1, q):
-        total += 1 - 2 * ctx.trace(ctx.mul(gamma, ctx.pow(x, 7)))
-    return total
+    # sum over x of (-1)^Tr(gamma*x^7); x = 0 has trace 0
+    return ctx.q - 2 * int(np.count_nonzero(ctx.vtrace(ctx.monomial_table(gamma, 7))))
 
 
 def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
@@ -59,19 +61,15 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
         raise ValueError("gamma must be nonzero")
     if ctx.m % 2 == 0:
         raise ValueError("point enumeration requires odd m")
-    pts: list[tuple[int, int]] = []
-    for x in range(1, ctx.q):
-        c = ctx.mul(gamma, ctx.pow(x, 7))
-        w = ctx.solve_artin_schreier(c)
-        if w is None:
-            continue
-        if ctx.trace(w) == 1:
-            w ^= 1  # kernel of v^2+v is {0,1}; exactly one root has trace 0
-        v = ctx.solve_artin_schreier(w)
-        if v is None:
-            raise AssertionError(f"trace-0 root vanished at x={x:#x}")
-        pts.append((x, v))
-        pts.append((x, v ^ 1))
+    x = np.arange(1, ctx.q, dtype=np.int64)
+    w, on_curve = ctx.vsolve_artin_schreier(ctx.vmul(gamma, ctx.vpow(x, 7)))
+    w ^= ctx.vtrace(w)  # kernel of v^2+v is {0,1}; exactly one root has trace 0
+    v, has_v = ctx.vsolve_artin_schreier(w)
+    lost = on_curve & ~has_v
+    if np.count_nonzero(lost):
+        raise AssertionError(f"trace-0 root vanished at x={int(x[lost][0]):#x}")
+    xs, vs = x[on_curve].tolist(), v[on_curve].tolist()
+    pts = [pt for xk, vk in zip(xs, vs) for pt in ((xk, vk), (xk, vk ^ 1))]
     return AuxCurvePoints(gamma=gamma, points=pts, count_total=len(pts) + 3)
 
 
@@ -105,15 +103,12 @@ def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints) -> dict:
     """Trace-condition counts over the enumerated points, bound checks, and
     the inclusion-exclusion reassembly of N."""
     q = ctx.q
-    minus3 = q - 1 - 3  # alpha = x^(-3)
-    n1 = n2 = n3 = 0
-    for x, v in pts.points:
-        eta = eta_of_alpha(ctx, g, ctx.pow(x, minus3))
-        t1 = ctx.trace(ctx.mul(eta, ctx.pow(v, 3)))
-        t2 = ctx.trace(ctx.mul(eta, ctx.pow(v, 2) ^ v))
-        n1 += t1
-        n2 += t2
-        n3 += 1 - (t1 ^ t2)
+    x, v = np.array(pts.points, dtype=np.int64).reshape(-1, 2).T
+    eta = eta_all(ctx, g, ctx.vpow(x, q - 1 - 3))  # alpha = x^(-3)
+    t1 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
+    t2 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v))
+    n1, n2 = int(np.count_nonzero(t1)), int(np.count_nonzero(t2))
+    n3 = len(t1) - int(np.count_nonzero(t1 ^ t2))
     both = pair_zero_count(n1, n2, n3, len(pts.points))
     if both % 2:
         raise AssertionError("pair count must be even: points come in (v, v+1) pairs")

@@ -4,7 +4,8 @@
 three binary digits; the 2^i+1 exponents have two).  ``reduce_difference``
 rewrites the directional difference G(x+alpha) + G(x) into quintic curve form
 a x^5 + b x^3 + c x + d preserving the trace-zero count, which ties every
-autocorrelation sum to a genus-2 point count.
+autocorrelation sum to a genus-2 point count; ``reduce_difference_all`` does
+it for every alpha at once, as arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import FieldCtx, TABLE_MAX_M
+from .field import FieldCtx, MAX_M, TABLE_MAX_M
 from .genus2 import QuinticCurve
 
 
@@ -28,6 +29,8 @@ class TracePoly:
         if self.a7 == 0:
             raise ValueError("a7 must be nonzero")
         object.__setattr__(self, "b", tuple(self.b))
+        if self.a7 < 0 or any(bi < 0 for bi in self.b):
+            raise ValueError("coefficients must be field elements (nonnegative bitmasks)")
 
     @property
     def s(self) -> int:
@@ -102,6 +105,38 @@ def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:
     return QuinticCurve(a=a, b=b, c=c ^ csum, d=eval_g(ctx, g, alpha))
 
 
+def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]:
+    """:func:`reduce_difference` for every alpha = 1..q-1: arrays a, b, c, d
+    (entry k is alpha = k + 1), with the same two c-term spellings compared."""
+    if ctx.m > TABLE_MAX_M:
+        curves = [reduce_difference(ctx, g, alpha) for alpha in range(1, ctx.q)]
+        return tuple(np.array([getattr(cv, k) for cv in curves], dtype=np.int64)
+                     for k in "abcd")
+    alpha = np.arange(1, ctx.q, dtype=np.int64)
+    a7 = g.a7
+    a = ctx.vmul(a7, ctx.vpow(alpha, 2))
+    b = ctx.vmul(a7, ctx.vpow(alpha, 4)) ^ ctx.vfrac_pow(ctx.vmul(a7, alpha), 1, 2)
+    c = (ctx.vmul(a7, ctx.vpow(alpha, 6))
+         ^ ctx.vmul(ctx.frac_pow(a7, 1, 4), ctx.vfrac_pow(alpha, 3, 4))
+         ^ ctx.vmul(ctx.frac_pow(a7, 1, 2), ctx.vfrac_pow(alpha, 5, 2)))
+    d = ctx.vmul(a7, ctx.vpow(alpha, 7))
+    csum = csum_alt = np.zeros_like(alpha)
+    for i, bi in enumerate(g.b):
+        if bi:
+            csum = csum ^ ctx.vfrac_pow(ctx.vmul(bi, alpha), 1, 1 << i)
+            csum ^= ctx.vmul(bi, ctx.vpow(alpha, 1 << i))
+            term = ctx.vmul(bi, ctx.vpow(alpha, 1 + (1 << i)))
+            csum_alt = csum_alt ^ ctx.vfrac_pow(term, 1, 1 << i) ^ term
+            d ^= term
+    bad = ctx.vmul(csum, alpha) != csum_alt
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise AssertionError(
+            f"c-term spellings disagree at alpha={k + 1:#x}: "
+            f"{int(csum[k]):#x}*alpha vs {int(csum_alt[k]):#x}")
+    return a, b, c ^ csum, d
+
+
 # ---------------------------------------------------------------------------
 # JSON form: {"a7": "0x..", "b": {"0": "0x..", "2": "0x.."}, "s": n}
 
@@ -119,6 +154,8 @@ def tracepoly_from_json(text: str) -> TracePoly:
         a7 = int(obj["a7"], 16)
         bmap = {int(k): int(v, 16) for k, v in obj.get("b", {}).items()}
         s = int(obj.get("s", max(bmap) if bmap else 0))
+        if not 0 <= s < MAX_M:
+            raise ValueError(f"s={s} outside 0..{MAX_M - 1}")
         if any(i < 0 or i > s for i in bmap):
             raise ValueError(f"b index outside 0..s={s}")
         return TracePoly(a7, tuple(bmap.get(i, 0) for i in range(s + 1)))

@@ -11,6 +11,10 @@ where eta is the invariant returned by :func:`eta_of_alpha`.  The prediction
 is exercised against brute-force X_alpha over every alpha by the test suite;
 no part of it is trusted by construction.
 
+:func:`classify_all` runs the same steps as whole-field array passes over
+every alpha at once; the per-alpha :func:`classify_alpha` is its test oracle
+and the path for fields too large for log tables (m > 16).
+
 The module also carries the family's bound checkers (all verdicts in exact
 integer arithmetic):
 
@@ -26,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolfn import TracePoly
-from .field import FieldCtx
+from .field import FieldCtx, TABLE_MAX_M
 from .report import Check, compare, slack_bound
 
 
@@ -95,18 +101,74 @@ def predict_x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
     return classify_alpha(ctx, g, alpha).predicted
 
 
-def count_n0_n(ctx: FieldCtx, g: TracePoly) -> dict:
-    """Predicted counts over all alpha != 0, plus deviation-bound checks."""
+@dataclass
+class ShiftArrays:
+    """:class:`AlphaClassification` fields as arrays; entry k is alpha = k + 1.
+    ``v`` is -1 where the scalar classifier has ``v=None``."""
+    predicted: np.ndarray
+    lambda_zero: np.ndarray
+    ell: np.ndarray
+    eta: np.ndarray
+    v: np.ndarray
+
+
+def eta_all(ctx: FieldCtx, g: TracePoly, alpha: np.ndarray) -> np.ndarray:
+    """:func:`eta_of_alpha` elementwise over an array of nonzero alphas."""
+    if np.count_nonzero(alpha == 0):
+        raise ValueError("alpha must be nonzero")
+    e = 1 ^ ctx.vmul(ctx.frac_pow(g.a7, 1, 4), ctx.vfrac_pow(alpha, 7, 4))
+    e ^= ctx.vmul(ctx.frac_pow(g.a7, 1, 2), ctx.vfrac_pow(alpha, 7, 2))
+    for i, bi in enumerate(g.b):
+        if bi:
+            t = ctx.vmul(bi, ctx.vpow(alpha, 1 + (1 << i)))
+            e ^= ctx.vfrac_pow(t, 1, 1 << i) ^ t
+    return e
+
+
+def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
+    """:func:`classify_alpha` for every alpha = 1..q-1 in one pass."""
+    if ctx.m % 2 == 0:
+        raise ValueError("trichotomy requires odd m")
     q = ctx.q
-    n0 = n = z = 0
-    for alpha in range(1, q):
-        p = classify_alpha(ctx, g, alpha).predicted
-        if p == 2 * q:
-            n0 += 1
-        elif p == 8 * q:
-            n += 1
-        else:
-            z += 1
+    if ctx.m > TABLE_MAX_M:
+        rows = [classify_alpha(ctx, g, alpha) for alpha in range(1, q)]
+        return ShiftArrays(predicted=np.array([r.predicted for r in rows]),
+                           lambda_zero=np.array([r.lambda_zero for r in rows]),
+                           ell=np.array([r.ell for r in rows]),
+                           eta=np.array([r.eta for r in rows]),
+                           v=np.array([-1 if r.v is None else r.v for r in rows]))
+    alpha = np.arange(1, q, dtype=np.int64)
+    eta = eta_all(ctx, g, alpha)
+    inv_a7 = ctx.inv(g.a7)
+    lambda_zero = ctx.vpow(alpha, 7) == inv_a7
+    # on the lambda_zero fibre this is the cube root of 1, so ell = 1 there as
+    # well, and Tr(1) = 1 (odd m) sends those shifts to the 2q branch below
+    ell = ctx.vfrac_pow(ctx.vmul(inv_a7, ctx.vpow(alpha, -7)), 1, 3)
+    u, split = ctx.vsolve_artin_schreier(ell)  # split: Tr(ell) = 0
+    u ^= ctx.vtrace(u)  # pick the trace-0 root
+    v, has_v = ctx.vsolve_artin_schreier(u)
+    lost = split & ~has_v
+    if np.count_nonzero(lost):
+        raise AssertionError(
+            f"no root of v^2+v=u despite Tr(u)=0, alpha={int(alpha[lost][0]):#x}")
+    hit = (ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
+           & ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v)))
+    predicted = np.where(split, hit * (8 * q), 2 * q)
+    return ShiftArrays(predicted=predicted, lambda_zero=lambda_zero, ell=ell, eta=eta,
+                       v=np.where(split, v, -1))
+
+
+def count_n0_n(ctx: FieldCtx, g: TracePoly, shifts: ShiftArrays | None = None) -> dict:
+    """Predicted counts over all alpha != 0, plus deviation-bound checks.
+
+    ``shifts`` is the :func:`classify_all` result for this G, when the caller
+    already has it."""
+    q = ctx.q
+    if shifts is None:
+        shifts = classify_all(ctx, g)
+    n0 = int(np.count_nonzero(shifts.predicted == 2 * q))
+    n = int(np.count_nonzero(shifts.predicted == 8 * q))
+    z = q - 1 - n0 - n
     bounds = [
         # |2*N0 - q| <= 6*sqrt(q) + 2
         slack_bound("n0_deviation_bound", abs(2 * n0 - q), 2, 36 * q),

@@ -20,16 +20,20 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
+from functools import lru_cache
+
+import numpy as np
 
 from . import __version__
-from .boolfn import TracePoly, reduce_difference, tracepoly_from_json, truth_table
-from .field import FieldCtx, default_modulus
-from .genus2 import classify, count_points, curve_from_json
+from .boolfn import TracePoly, reduce_difference_all, tracepoly_from_json, truth_table
+from .field import FieldCtx
+from .genus2 import classify, classify_curves, count_points, count_points_all, curve_from_json
 from .spectrum import divisibility_check, fwht, l4_fourth, linf, nonlinearity, parseval_ok
 from .autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all, x_alpha_from_bits
 from .classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
-                        count_n0_n, predict_x_alpha)
+                        classify_all, count_n0_n)
 from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from .corpus import standard_corpus
 from .report import Check, Report, compare
@@ -94,7 +98,22 @@ def _load_g(args, ctx: FieldCtx) -> TracePoly | None:
     top = max([g.a7, *g.b])
     if top >= ctx.q:
         raise UsageError(f"coefficient {top:#x} outside field of size 2^{ctx.m}")
+    _check_s(g.s, ctx)
     return g
+
+
+def _check_s(s: int, ctx: FieldCtx) -> None:
+    # x^(2^i+1) = x^(2^(i mod m)+1) on GF(2^m), so b_i with i >= m is an alias
+    if not 0 <= s < ctx.m:
+        raise UsageError(f"s={s} outside 0..m-1={ctx.m - 1}: b_i with i >= m "
+                         f"aliases b_(i mod m)")
+
+
+def _corpus(args, ctx: FieldCtx) -> list[TracePoly]:
+    if args.count < 1:
+        raise UsageError(f"{args.cmd} needs --count >= 1")
+    _check_s(args.s, ctx)
+    return standard_corpus(ctx.q, args.count, args.s, args.seed)
 
 
 def _g_echo(g: TracePoly) -> dict:
@@ -152,27 +171,29 @@ def _predictor_section(ctx, g, checks: list[Check], measured: dict | None) -> di
     return row
 
 
-def _genus2_section(ctx, g, checks: list[Check], table=None, tag: str = "") -> dict:
-    # third route: every shift's reduced quintic must land in the count set its
-    # symplectic data predicts, and (count - q - 1)^2 must reproduce X_alpha
-    bits = truth_table(ctx, g) if table is None else None
-    bad_member = bad_bridge = 0
-    w_hist: dict[int, int] = {}
-    for alpha in range(1, ctx.q):
-        cv = reduce_difference(ctx, g, alpha)
-        data = classify(ctx, cv)
-        n = count_points(ctx, cv)
-        if n not in data.predicted_counts:
-            bad_member += 1
-        xa = int(table.x[alpha]) if table is not None else x_alpha_from_bits(bits, alpha)
-        if (n - ctx.q - 1) ** 2 != xa:
-            bad_bridge += 1
-        w_hist[data.w] = w_hist.get(data.w, 0) + 1
+def _genus2_section(ctx, g, checks: list[Check], table=None, tag: str = ""):
+    """Third route: every shift's reduced quintic must land in the count set its
+    symplectic data predicts, and (count - q - 1)^2 must reproduce X_alpha.
+
+    Returns the report row and the per-shift arrays (entry k is alpha = k+1)."""
+    a, b, c, d = reduce_difference_all(ctx, g)
+    curves = classify_curves(ctx, a, b, c)
+    n = count_points_all(ctx, a, b, c, d)
+    if table is not None:
+        xa = table.x[1:]
+    else:
+        bits = truth_table(ctx, g)
+        xa = np.array([x_alpha_from_bits(bits, alpha) for alpha in range(1, ctx.q)])
+    dev = n - ctx.q - 1
+    bad_member = int(np.count_nonzero(np.abs(dev) != curves.radius))
+    bad_bridge = int(np.count_nonzero(dev * dev != xa))
     checks.append(compare(f"curve_count_membership{tag}", bad_member, "==", 0,
                           note=f"{ctx.q - 1} shifts"))
     checks.append(compare(f"curve_count_bridge{tag}", bad_bridge, "==", 0,
                           note="(count-q-1)^2 vs X_alpha"))
-    return {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}
+    w_hist = Counter(curves.w.tolist())
+    row = {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}
+    return row, {"a": a, "b": b, "c": c, "d": d, "count": n, "w": curves.w}
 
 
 def _auxcurve_section(ctx, g, checks: list[Check], predicted_n: int | None) -> dict:
@@ -213,7 +234,7 @@ def cmd_analyze(args) -> Report:
     if "predictor" in checks_sel:
         summary.update(_predictor_section(ctx, g, checks, summary))
     if "genus2" in checks_sel:
-        summary.update(_genus2_section(ctx, g, checks, table))
+        summary.update(_genus2_section(ctx, g, checks, table)[0])
     if "auxcurve" in checks_sel:
         summary.update(_auxcurve_section(ctx, g, checks, summary.get("predicted_N")))
     config = {"cmd": "analyze", "m": ctx.m, "modulus": hex(ctx.modulus),
@@ -223,9 +244,7 @@ def cmd_analyze(args) -> Report:
 
 def cmd_scan(args) -> Report:
     ctx = _build_ctx(args)
-    if args.count < 1:
-        raise UsageError("scan needs --count >= 1")
-    corpus = standard_corpus(ctx.q, args.count, args.s, args.seed)
+    corpus = _corpus(args, ctx)
     rows = []
     checks: list[Check] = []
     min_linf = ctx.q + 1
@@ -261,7 +280,7 @@ def cmd_verify(args) -> Report:
     ctx = _build_ctx(args)
     checks_sel = _resolve_checks(args, args.m)
     g0 = _load_g(args, ctx)
-    corpus = [g0] if g0 is not None else standard_corpus(ctx.q, args.count, args.s, args.seed)
+    corpus = [g0] if g0 is not None else _corpus(args, ctx)
     checks: list[Check] = []
     mismatches: list[dict] = []
     alphas = 0
@@ -279,18 +298,21 @@ def cmd_verify(args) -> Report:
             checks.append(Check(name=f"x_alpha_trichotomy[{gi}]", lhs=str(exc),
                                 rhs="{0,2q,8q}", relation="in", passed=False))
             dec = None
-        for alpha in range(1, ctx.q):
-            predicted = predict_x_alpha(ctx, g, alpha)
-            if args.selftest_negative and gi == 0 and alpha == 1:
-                predicted = 0 if predicted else 2 * ctx.q
-            measured = int(table.x[alpha])
-            alphas += 1
-            if predicted != measured:
-                total_mism += 1
-                if len(mismatches) < 10:
-                    mismatches.append({"g": gi, "alpha": hex(alpha),
-                                       "predicted": predicted, "measured": measured})
-        counted = count_n0_n(ctx, g)
+        shifts = classify_all(ctx, g)
+        predicted = shifts.predicted.copy()
+        if args.selftest_negative and gi == 0:
+            predicted[0] = 0 if predicted[0] else 2 * ctx.q  # alpha = 1
+        wrong = np.flatnonzero(predicted != table.x[1:])
+        alphas += ctx.q - 1
+        total_mism += len(wrong)
+        records = [(k, {"g": gi, "alpha": hex(k + 1), "predicted": int(predicted[k]),
+                        "measured": int(table.x[k + 1]),
+                        "lambda_zero": bool(shifts.lambda_zero[k]),
+                        "ell": hex(int(shifts.ell[k])), "eta": hex(int(shifts.eta[k])),
+                        "v": hex(int(shifts.v[k])) if shifts.v[k] >= 0 else None})
+                   for k in wrong[:10 - len(mismatches)]]
+        mismatches.extend(rec for _, rec in records)
+        counted = count_n0_n(ctx, g, shifts)
         if dec is not None:
             checks.append(compare(f"predicted_counts_match[{gi}]",
                                   counted["N0"] * 10 ** 9 + counted["N"], "==",
@@ -299,7 +321,11 @@ def cmd_verify(args) -> Report:
             chk.name = f"{chk.name}[{gi}]"
             checks.append(chk)
         if "genus2" in checks_sel:
-            _genus2_section(ctx, g, checks, table, tag=f"[{gi}]")
+            _, route = _genus2_section(ctx, g, checks, table, tag=f"[{gi}]")
+            for k, rec in records:
+                rec["curve"] = {key: hex(int(route[key][k])) for key in "abcd"}
+                rec["count"] = int(route["count"][k])
+                rec["w"] = int(route["w"][k])
         if "auxcurve" in checks_sel:
             before = len(checks)
             _auxcurve_section(ctx, g, checks, counted["N"])
@@ -393,7 +419,9 @@ def _add_g_source(p: argparse.ArgumentParser, with_corpus: bool) -> None:
                        help="largest quadratic-part index for sampled G")
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="walshforge",
         description="Spectral, autocorrelation and curve-count verification for "
@@ -423,8 +451,11 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--curve", help='curve JSON {"a":"0x..",...} (inline or file)')
     p.set_defaults(func=cmd_curve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if not hasattr(args, "checks"):
         args.checks = None
     start = time.monotonic()

@@ -5,20 +5,26 @@ power basis, reduced modulo an explicit degree-m irreducible ``modulus``
 bitmask.  Everything here is deterministic and pure; a :class:`FieldCtx` is
 immutable after construction and safe to share across workers.
 
-Scalar multiplication is shift-xor reduction.  For m <= 16 a context lazily
-builds log/antilog tables that back both the scalar fast path and the
-vectorized bulk helpers; table-backed results are bit-identical to the
-shift-xor path (tests cross-check the two).
+Multiplication is shift-xor reduction at heart.  For m <= 16 a context builds
+log/antilog tables when it is constructed; they back the scalar ``mul`` and
+``pow`` and the whole-field vector helpers (``vmul``, ``vpow``,
+``vfrac_pow``, ``vhalf_trace``, ``vsolve_artin_schreier``, ``trace_bits``,
+``monomial_table``), which act elementwise on int64 arrays of elements.
+Above m = 16 the scalar operations are the shift-xor ones and the vector
+helpers run a numpy shift-xor product.  Table-backed results are
+bit-identical to the shift-xor path (tests cross-check the two).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
 MAX_M = 31
 TABLE_MAX_M = 16
+BATCH = 8192  # elements in any 2-D temporary of a batched whole-field pass
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +133,12 @@ class FieldCtx:
         self._trace_mask = mask
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
+        if m <= TABLE_MAX_M:
+            self._build_tables()
+        else:
+            # no tables this large: the scalar operations are the shift-xor ones
+            self.mul = self.mul_raw
+            self.pow = self._pow_raw
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -156,8 +168,6 @@ class FieldCtx:
         return r
 
     def mul(self, x: int, y: int) -> int:
-        if self._log is None:
-            return self.mul_raw(x, y)
         if x == 0 or y == 0:
             return 0
         return int(self._exp[self._log[x] + self._log[y]])
@@ -167,9 +177,15 @@ class FieldCtx:
             if n < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 1 if n == 0 else 0
+        return int(self._exp[(int(self._log[x]) * n) % (self.q - 1)])
+
+    def _pow_raw(self, x: int, n: int) -> int:
+        """Square-and-multiply on shift-xor products (table-free)."""
+        if x == 0:
+            if n < 0:
+                raise ZeroDivisionError("0 cannot be raised to a negative power")
+            return 1 if n == 0 else 0
         n %= self.q - 1
-        if self._log is not None:
-            return int(self._exp[(int(self._log[x]) * n) % (self.q - 1)])
         r, b = 1, x
         while n:
             if n & 1:
@@ -191,21 +207,23 @@ class FieldCtx:
         return self.pow(x, 1 << (self.m - 1))
 
     def kth_root(self, x: int, k: int) -> int:
-        from math import gcd
         if gcd(k, self.q - 1) != 1:
             raise ValueError(f"k={k} not coprime to q-1={self.q - 1}; k-th root not unique")
         return self.pow(x, pow(k, -1, self.q - 1))
 
-    def frac_pow(self, x: int, num: int, den: int) -> int:
-        """x^(num/den) via the inverse of den modulo q-1."""
-        from math import gcd
+    def _frac_exponent(self, num: int, den: int) -> int:
         if den <= 0 or gcd(den, self.q - 1) != 1:
             raise ValueError(f"denominator {den} not invertible modulo q-1={self.q - 1}")
+        return (num * pow(den, -1, self.q - 1)) % (self.q - 1)
+
+    def frac_pow(self, x: int, num: int, den: int) -> int:
+        """x^(num/den) via the inverse of den modulo q-1."""
+        e = self._frac_exponent(num, den)
         if x == 0:
             if num < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 1 if num == 0 else 0
-        return self.pow(x, (num * pow(den, -1, self.q - 1)) % (self.q - 1))
+        return self.pow(x, e)
 
     def half_trace(self, c: int) -> int:
         """sum of c^(4^i) for i = 0..(m-1)/2; for odd m solves h^2+h = c when Tr(c)=0."""
@@ -226,36 +244,137 @@ class FieldCtx:
             raise AssertionError(f"half-trace failed for c={c:#x}")  # m even or bad ctx
         return u
 
-    # -- table-backed bulk helpers -------------------------------------------
+    # -- log/antilog tables ---------------------------------------------------
 
     def ensure_tables(self) -> None:
-        """Build log/antilog tables (m <= 16). Idempotent."""
-        if self._exp is not None:
-            return
-        if self.m > TABLE_MAX_M:
+        """Tables are built with the context (m <= 16); kept as an idempotent check."""
+        if self._exp is None:
             raise ValueError(f"log tables unsupported for m={self.m} > {TABLE_MAX_M}")
-        q = self.q
+
+    def _build_tables(self) -> None:
+        # powers of a generator by doubling: exp[n:2n] = exp[:n] * g^n
+        n_el = self.q - 1
         g = self._find_generator()
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        e = 1
-        for i in range(q - 1):
-            exp[i] = e
-            log[e] = i
-            e = self.mul_raw(e, g)
-        if e != 1:
+        exp = np.ones(1, dtype=np.int64)
+        gn = g
+        while len(exp) < n_el:
+            exp = np.concatenate([exp, self._vmul_raw(exp, gn)])
+            gn = self.mul_raw(gn, gn)
+        exp = exp[:n_el]
+        if self.mul_raw(int(exp[-1]), g) != 1:
             raise AssertionError("generator order mismatch")
-        exp[q - 1:] = exp[:q - 1]  # doubled so exp[i+j] needs no reduction
-        log[0] = -(q)  # poison: any use of log[0] lands far out of range
-        self._exp, self._log = exp, log
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(n_el)
+        log[0] = -self.q  # poison: any use of log[0] lands far out of range
+        self._exp = np.concatenate([exp, exp])  # doubled so exp[i+j] needs no reduction
+        self._log = log
 
     def _find_generator(self) -> int:
         n = self.q - 1
         ps = _prime_factors(n)
         for g in range(2, self.q):
-            if all(self.pow(g, n // p) != 1 for p in ps):
+            if all(self._pow_raw(g, n // p) != 1 for p in ps):
                 return g
         raise AssertionError("no generator found")  # unreachable for a field
+
+    # -- whole-field vector helpers ---------------------------------------------
+    # Arguments are int64 arrays of field elements (or ints, broadcast).
+
+    def _vmul_raw(self, x, y) -> np.ndarray:
+        """Elementwise shift-xor product (table-free)."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64),
+                                   np.asarray(y, dtype=np.int64))
+        r = np.zeros(x.shape, dtype=np.int64)
+        for _ in range(self.m):
+            r ^= x * (y & 1)
+            y = y >> 1
+            x = x << 1
+            x ^= (x >> self.m) * self.modulus  # bit m is the only overflow
+        return r
+
+    def vmul(self, x, y) -> np.ndarray:
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        if self._exp is None:
+            return self._vmul_raw(x, y)
+        out = self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
+        return np.where((x == 0) | (y == 0), 0, out)
+
+    def vpow(self, x, n: int) -> np.ndarray:
+        x = np.asarray(x, dtype=np.int64)
+        zero = x == 0
+        if n < 0 and np.count_nonzero(zero):
+            raise ZeroDivisionError("0 cannot be raised to a negative power")
+        k = n % (self.q - 1)
+        if self._exp is None:
+            r, b = np.ones_like(x), x
+            while k:
+                if k & 1:
+                    r = self._vmul_raw(r, b)
+                b = self._vmul_raw(b, b)
+                k >>= 1
+        else:
+            r = self._exp[(self._log[x] * k) % (self.q - 1)]
+        return np.where(zero, int(n == 0), r)
+
+    def vfrac_pow(self, x, num: int, den: int) -> np.ndarray:
+        """x^(num/den) elementwise; den=k, num=1 is the k-th root."""
+        e = self._frac_exponent(num, den)
+        x = np.asarray(x, dtype=np.int64)
+        if num < 0 and np.count_nonzero(x == 0):
+            raise ZeroDivisionError("0 cannot be raised to a negative power")
+        return np.where(x == 0, int(num == 0), self.vpow(x, e))
+
+    @cached_property
+    def _half_trace_basis(self) -> list[int]:
+        return [self.half_trace(1 << j) for j in range(self.m)]
+
+    def vhalf_trace(self, c) -> np.ndarray:
+        """Half-trace elementwise: it is GF(2)-linear, so an XOR of the basis
+        images picked out by the set bits of c."""
+        if self.m % 2 == 0:
+            raise ValueError("half-trace solver requires odd m")
+        c = np.asarray(c, dtype=np.int64)
+        h = np.zeros(c.shape, dtype=np.int64)
+        for j, hj in enumerate(self._half_trace_basis):
+            h ^= ((c >> j) & 1) * hj
+        return h
+
+    def vsolve_artin_schreier(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """(u, has_root): u^2 + u = c where Tr(c) = 0, and u = 0 elsewhere."""
+        c = np.asarray(c, dtype=np.int64)
+        has_root = self.vtrace(c) == 0
+        u = np.where(has_root, self.vhalf_trace(c), 0)
+        bad = has_root & ((self.vmul(u, u) ^ u) != c)
+        if np.count_nonzero(bad):
+            raise AssertionError(f"half-trace failed for c={int(c[bad][0]):#x}")
+        return u, has_root
+
+    def trace_zero_counts(self, coefs: list[np.ndarray], exps: list[int],
+                          consts: np.ndarray) -> np.ndarray:
+        """For each k: #{x : Tr(sum_j coefs[j][k] * x^exps[j] + consts[k]) = 0},
+        by evaluating every x (tables only).
+
+        x runs over powers g^i of the table generator, so x^e has log e*i and
+        Tr(coef * x^e) is one lookup in a trace table indexed by logs.  Work
+        goes in row-by-column blocks of at most ``BATCH`` elements.
+        """
+        n = self.q - 1
+        # Tr(g^i) for i < 2n, then zeros: log 2n stands for a zero coefficient
+        tr = np.concatenate([self.trace_bits(self._exp), np.zeros(n, dtype=np.uint8)])
+        i = np.arange(n, dtype=np.int64)
+        x_logs = [(e * i) % n for e in exps]
+        c_logs = [np.where(c == 0, 2 * n, self._log[c]) for c in coefs]
+        t_const = self.trace_bits(consts)
+        ones = np.zeros(len(t_const), dtype=np.int64)  # x != 0 with the sum's trace 1
+        rows, cols = max(1, BATCH // n), min(n, BATCH)
+        for r in range(0, len(ones), rows):
+            for c in range(0, n, cols):
+                acc = np.zeros((min(rows, len(ones) - r), min(cols, n - c)), dtype=np.uint8)
+                for lc, lx in zip(c_logs, x_logs):
+                    acc ^= tr[lc[r:r + rows, None] + lx[None, c:c + cols]]
+                ones[r:r + rows] += acc.sum(axis=1, dtype=np.int64)
+        # x = 0 contributes Tr(const); a trace-1 constant flips every other x
+        return np.where(t_const == 0, n - ones + 1, ones)
 
     def monomial_table(self, coef: int, e: int) -> np.ndarray:
         """Array over all x in [0,q) of coef * x^e  (e >= 1)."""
@@ -265,7 +384,6 @@ class FieldCtx:
         if coef == 0:
             return np.zeros(q, dtype=np.int64)
         if self.m <= TABLE_MAX_M:
-            self.ensure_tables()
             out = np.zeros(q, dtype=np.int64)
             logs = self._log[1:]
             idx = (int(self._log[coef]) + e * logs) % (q - 1)
@@ -274,12 +392,13 @@ class FieldCtx:
         return np.array([0] + [self.mul_raw(coef, self.pow(x, e)) for x in range(1, q)],
                         dtype=np.int64)
 
+    def vtrace(self, vals) -> np.ndarray:
+        """Vector trace: parity of popcount(v & trace_mask), as int64 0/1."""
+        t = np.asarray(vals, dtype=np.int64) & self._trace_mask
+        for k in (16, 8, 4, 2, 1):
+            t ^= t >> k
+        return t & 1
+
     def trace_bits(self, vals: np.ndarray) -> np.ndarray:
-        """Vector trace: parity of popcount(v & trace_mask), as uint8."""
-        t = (vals.astype(np.int64) & self._trace_mask)
-        t ^= t >> 16
-        t ^= t >> 8
-        t ^= t >> 4
-        t ^= t >> 2
-        t ^= t >> 1
-        return (t & 1).astype(np.uint8)
+        """:meth:`vtrace` as uint8, the truth-table dtype."""
+        return self.vtrace(vals).astype(np.uint8)

@@ -10,6 +10,11 @@ With w = dim W, the point count over GF(2^m) is 1 + q when Q does not vanish
 on all of W, and 1 + q +- sqrt(2^w q) otherwise; w == m (mod 2).  For curves
 in a = b normal form the Maisner-Nart criterion reads w off the trace of
 ell = (1 + z^-4)^(1/3) at a root z of P.
+
+``classify_curves`` and ``count_points_all`` do the radical, the predicted
+counts and the point count for a whole array of curves at once; the
+one-curve ``radical``, ``classify`` and ``count_points`` are their test
+oracles and the path for fields too large for log tables (m > 16).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldCtx, TABLE_MAX_M
+from .field import BATCH, FieldCtx, TABLE_MAX_M
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,8 @@ class QuinticCurve:
     def __post_init__(self):
         if self.a == 0:
             raise ValueError("degenerate curve: coefficient a of x^5 must be nonzero")
+        if min(self.a, self.b, self.c, self.d) < 0:
+            raise ValueError("coefficients must be field elements (nonnegative bitmasks)")
 
 
 @dataclass
@@ -117,6 +124,79 @@ def count_points_affine(ctx: FieldCtx, curve: QuinticCurve) -> int:
 def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:
     # one point at infinity on the smooth model
     return count_points_affine(ctx, curve) + 1
+
+
+@dataclass
+class CurveArrays:
+    """Per-curve :class:`SymplecticData` verdicts as arrays: the allowed
+    counts are 1 + q +- radius (radius 0 when Q does not vanish on W)."""
+    w: np.ndarray
+    V_equals_W: np.ndarray
+    radius: np.ndarray
+
+
+def _curves(a, b, c, d=None):
+    return [QuinticCurve(int(ak), int(bk), int(ck), 0 if d is None else int(d[k]))
+            for k, (ak, bk, ck) in enumerate(zip(a, b, c))]
+
+
+def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> CurveArrays:
+    """:func:`classify` for the curves (a[k], b[k], c[k], .) at once.
+
+    Each curve's radical comes from GF(2) elimination on the rows
+    E(e_j) | (e_j << m): the high half tracks which basis combination a row
+    is, so rows whose E half clears are a basis of W.  Q is linear on W, so
+    it vanishes on W iff it vanishes on that basis.
+    """
+    if ctx.m > TABLE_MAX_M:
+        data = [classify(ctx, cv) for cv in _curves(a, b, c)]
+        return CurveArrays(w=np.array([dt.w for dt in data]),
+                           V_equals_W=np.array([dt.V_equals_W for dt in data]),
+                           radius=np.array([(max(dt.predicted_counts) - 1 - ctx.q)
+                                            for dt in data]))
+    m = ctx.m
+    basis = np.int64(1) << np.arange(m, dtype=np.int64)
+    w = np.empty(len(a), dtype=np.int64)
+    vanishes = np.empty(len(a), dtype=bool)
+    step = max(1, BATCH // m)
+    for lo in range(0, len(a), step):
+        sl = slice(lo, lo + step)
+        ak, bk, ck = a[sl, None], b[sl, None], c[sl, None]
+        rows = (ctx.vmul(ctx.vpow(ak, 4), ctx.vpow(basis, 16))
+                ^ ctx.vmul(ctx.vpow(bk, 4), ctx.vpow(basis, 8))
+                ^ ctx.vmul(ctx.vpow(bk, 2), ctx.vpow(basis, 2))
+                ^ ctx.vmul(ak, basis)) | (basis << m)
+        ar = np.arange(len(rows))
+        free = np.ones(rows.shape, dtype=bool)
+        for h in range(m - 1, -1, -1):
+            has = ((rows >> h) & 1).astype(bool)
+            p = (has & free).argmax(axis=1)
+            found = (has & free)[ar, p]
+            free[ar[found], p[found]] = False
+            clear = has & found[:, None]
+            clear[ar, p] = False
+            rows ^= clear * rows[ar, p][:, None]
+        kernel = (rows & (ctx.q - 1)) == 0
+        v = np.where(kernel, rows >> m, 0)  # Q(0) = 0 on the non-kernel slots
+        r = (ctx.vmul(ak, ctx.vpow(v, 4)) ^ ctx.vmul(bk, ctx.vpow(v, 2))
+             ^ ctx.vmul(ctx.vmul(ck, ck), v))
+        w[sl] = np.count_nonzero(kernel, axis=1)
+        vanishes[sl] = np.count_nonzero(ctx.vtrace(ctx.vmul(v, r)), axis=1) == 0
+    if np.count_nonzero((w[vanishes] + m) % 2):
+        bad = int(w[vanishes][(w[vanishes] + m) % 2 == 1][0])
+        raise AssertionError(f"2^w*q not a square: w={bad}, m={m}")
+    radius = np.where(vanishes, np.int64(1) << ((w + m) // 2), 0)
+    return CurveArrays(w=w, V_equals_W=vanishes, radius=radius)
+
+
+def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+    """:func:`count_points` for the curves (a[k], b[k], c[k], d[k]) at once,
+    by direct enumeration of every x."""
+    if ctx.m > TABLE_MAX_M:
+        return np.array([count_points(ctx, cv) for cv in _curves(a, b, c, d)])
+    return 2 * ctx.trace_zero_counts([a, b, c], [5, 3, 1], d) + 1
 
 
 def normalize_ab(ctx: FieldCtx, curve: QuinticCurve) -> tuple[QuinticCurve, int]:

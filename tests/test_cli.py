@@ -92,6 +92,84 @@ def test_verify_selftest_negative_exits_1(capsys):
     assert doc["summary"]["mismatches"]
     first = doc["checks"][0]
     assert first["name"] == "predictor_oracle_agreement" and not first["pass"]
+    # the record carries the whole route triple for diagnosis without a rerun
+    rec = doc["summary"]["mismatches"][0]
+    assert rec["alpha"] == "0x1" and rec["predicted"] != rec["measured"]
+    assert {"lambda_zero", "ell", "eta", "v", "curve", "count", "w"} <= set(rec)
+    assert set(rec["curve"]) == {"a", "b", "c", "d"}
+    assert (rec["count"] - 33) ** 2 == rec["measured"]  # the curve count agrees
+
+
+def test_verify_mismatch_without_genus2_has_no_curve(capsys):
+    code, doc = run_json(capsys, "verify", "--m", "5", "--count", "1", "--checks",
+                         "predictor", "--selftest-negative")
+    rec = doc["summary"]["mismatches"][0]
+    assert code == 1 and "eta" in rec and "curve" not in rec and "w" not in rec
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--m", "7", "--checks", "predictor", "--g", '{"a7":"-0x3"}'),
+    ("analyze", "--m", "7", "--checks", "spectrum", "--g", '{"a7":"-0x3"}'),
+    ("analyze", "--m", "7", "--g", '{"a7":"0x3","b":{"1":"-0x1"},"s":1}'),
+    ("verify", "--m", "5", "--g", '{"a7":"0x3","b":{"0":"-0x2"}}'),
+    ("curve", "--m", "5", "--curve", '{"a":"0x1","b":"0x2","c":"-0x3","d":"0x0"}'),
+    ("curve", "--m", "5", "--curve", '{"a":"-0x1","b":"0x2","c":"0x3","d":"0x0"}'),
+])
+def test_negative_coefficients_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "nonnegative" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--m", "5", "--count", "0"),
+    ("scan", "--m", "5", "--count", "0"),
+])
+def test_empty_corpus_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "--count" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--m", "7", "--checks", "bounds", "--g", '{"a7":"0x3","s":100000}'),
+    ("analyze", "--m", "7", "--checks", "bounds", "--g", '{"a7":"0x3","s":7}'),
+    ("analyze", "--m", "7", "--g", '{"a7":"0x3","b":{"9":"0x1"}}'),
+    ("analyze", "--m", "7", "--g", '{"a7":"0x3","s":-1}'),
+    ("scan", "--m", "5", "--s", "5", "--count", "1"),
+    ("verify", "--m", "5", "--s", "-1", "--count", "1"),
+])
+def test_s_outside_field_exits_2(capsys, argv):
+    # b_i with i >= m aliases b_(i mod m); huge s once overflowed the bound integers
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "s=" in err and not out
+
+
+def test_largest_s_below_m_accepted(capsys):
+    code, doc = run_json(capsys, "analyze", "--m", "5", "--checks", "spectrum,bounds",
+                         "--g", '{"a7":"0x3","b":{"4":"0x1"}}')
+    assert code == 0 and doc["config"]["g"]["s"] == 4
+
+
+# determinism_hash of each report, recorded before the per-shift routes became
+# whole-field array passes; a report must not change with its implementation
+PINNED = [
+    (("verify", "--m", "9", "--s", "2", "--count", "1", "--seed", "0"),
+     "8caee80e3a394d0d20e2e06af1aa769ae59ff4d6e0d0393d9d817493ba4d9606"),
+    (("verify", "--m", "9", "--s", "2", "--count", "1", "--seed", "1"),
+     "5c71321fa23636116ccabfec4a54b003e8b88704ae6f2c7dc2ddaf1ee8fdf185"),
+    (("analyze", "--m", "9", "--checks", "predictor,auxcurve", "--g",
+      '{"a7":"0x1F","b":{"0":"0x3","1":"0x8","2":"0x41"},"s":2}'),
+     "f5ae1efeb9f0861a16af1e1dec10c2d7b9cf59fc70dd8f671e280b94ab2a69e3"),
+    (("analyze", "--m", "7", "--checks", "genus2,autocorr", "--g",
+      '{"a7":"0x5","b":{"1":"0x6","2":"0x2"},"s":2}'),
+     "ad0b1f127b96e1308740b84d3547420436b5303c3be727af766c51a3fd04de39"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED)
+def test_report_hashes_pinned(capsys, argv, digest):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["determinism_hash"] == digest
 
 
 def test_verify_single_g(capsys):
