@@ -108,10 +108,6 @@ def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:
 def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]:
     """:func:`reduce_difference` for every alpha = 1..q-1: arrays a, b, c, d
     (entry k is alpha = k + 1), with the same two c-term spellings compared."""
-    if ctx.m > TABLE_MAX_M:
-        curves = [reduce_difference(ctx, g, alpha) for alpha in range(1, ctx.q)]
-        return tuple(np.array([getattr(cv, k) for cv in curves], dtype=np.int64)
-                     for k in "abcd")
     alpha = np.arange(1, ctx.q, dtype=np.int64)
     a7 = g.a7
     a = ctx.vmul(a7, ctx.vpow(alpha, 2))

@@ -12,8 +12,8 @@ is exercised against brute-force X_alpha over every alpha by the test suite;
 no part of it is trusted by construction.
 
 :func:`classify_all` runs the same steps as whole-field array passes over
-every alpha at once; the per-alpha :func:`classify_alpha` is its test oracle
-and the path for fields too large for log tables (m > 16).
+every alpha at once (above m = 16 on the table-free vector helpers); the
+per-alpha :func:`classify_alpha` is its test oracle.
 
 The module also carries the family's bound checkers (all verdicts in exact
 integer arithmetic):
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import TracePoly
-from .field import FieldCtx, TABLE_MAX_M
+from .field import FieldCtx
 from .report import Check, compare, slack_bound
 
 
@@ -130,13 +130,6 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
     if ctx.m % 2 == 0:
         raise ValueError("trichotomy requires odd m")
     q = ctx.q
-    if ctx.m > TABLE_MAX_M:
-        rows = [classify_alpha(ctx, g, alpha) for alpha in range(1, q)]
-        return ShiftArrays(predicted=np.array([r.predicted for r in rows]),
-                           lambda_zero=np.array([r.lambda_zero for r in rows]),
-                           ell=np.array([r.ell for r in rows]),
-                           eta=np.array([r.eta for r in rows]),
-                           v=np.array([-1 if r.v is None else r.v for r in rows]))
     alpha = np.arange(1, q, dtype=np.int64)
     eta = eta_all(ctx, g, alpha)
     inv_a7 = ctx.inv(g.a7)

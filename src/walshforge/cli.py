@@ -421,7 +421,9 @@ def _add_g_source(p: argparse.ArgumentParser, with_corpus: bool) -> None:
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves the parser unchanged
+    # built once per process: parse_args leaves the parser unchanged, and a
+    # rebuild per call costs callers that run many commands in one process
+    # time and resident memory that grows with the number of commands
     parser = argparse.ArgumentParser(
         prog="walshforge",
         description="Spectral, autocorrelation and curve-count verification for "

@@ -14,7 +14,8 @@ ell = (1 + z^-4)^(1/3) at a root z of P.
 ``classify_curves`` and ``count_points_all`` do the radical, the predicted
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
-oracles and the path for fields too large for log tables (m > 16).
+oracles.  The batched count walks the log tables, so for fields too large
+for them (m > 16) it counts curve by curve with ``count_points``.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ class CurveArrays:
     radius: np.ndarray
 
 
-def _curves(a, b, c, d=None):
-    return [QuinticCurve(int(ak), int(bk), int(ck), 0 if d is None else int(d[k]))
-            for k, (ak, bk, ck) in enumerate(zip(a, b, c))]
-
-
 def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> CurveArrays:
     """:func:`classify` for the curves (a[k], b[k], c[k], .) at once.
@@ -149,12 +145,6 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     is, so rows whose E half clears are a basis of W.  Q is linear on W, so
     it vanishes on W iff it vanishes on that basis.
     """
-    if ctx.m > TABLE_MAX_M:
-        data = [classify(ctx, cv) for cv in _curves(a, b, c)]
-        return CurveArrays(w=np.array([dt.w for dt in data]),
-                           V_equals_W=np.array([dt.V_equals_W for dt in data]),
-                           radius=np.array([(max(dt.predicted_counts) - 1 - ctx.q)
-                                            for dt in data]))
     m = ctx.m
     basis = np.int64(1) << np.arange(m, dtype=np.int64)
     w = np.empty(len(a), dtype=np.int64)
@@ -194,8 +184,9 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                      d: np.ndarray) -> np.ndarray:
     """:func:`count_points` for the curves (a[k], b[k], c[k], d[k]) at once,
     by direct enumeration of every x."""
-    if ctx.m > TABLE_MAX_M:
-        return np.array([count_points(ctx, cv) for cv in _curves(a, b, c, d)])
+    if ctx.m > TABLE_MAX_M:  # trace_zero_counts walks the log tables
+        return np.array([count_points(ctx, QuinticCurve(*map(int, cv)))
+                         for cv in zip(a, b, c, d)])
     return 2 * ctx.trace_zero_counts([a, b, c], [5, 3, 1], d) + 1
 
 

@@ -3,8 +3,8 @@
 Every batched route is compared with the scalar function it replaces on
 every alpha (or every x, or every point) of small fields, for coefficient
 sets drawn by Hypothesis.  The scalar functions stay the reference and the
-path for fields without log tables; the forced-fallback tests run that path
-on small fields by lowering the table limit.
+point count's path for fields without log tables; the table-free test runs
+the m > 16 code on a small field by dropping its tables.
 """
 
 import tracemalloc
@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import walshforge.boolfn as boolfn
-import walshforge.classify7 as classify7
 import walshforge.field as field
 import walshforge.genus2 as genus2
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
@@ -217,22 +215,31 @@ def test_c_spelling_disagreement_is_caught(monkeypatch):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
 
 
-@pytest.mark.parametrize("module", [classify7, boolfn, genus2])
-def test_forced_scalar_path_gives_the_same_arrays(monkeypatch, module):
-    # the m > 16 dispatch, exercised on a small field
-    ctx = CTX[7]
+def table_free(m):
+    """A small field in the state FieldCtx leaves fields above m = 16 in."""
+    ctx = FieldCtx(m)
+    ctx._exp = ctx._log = None
+    ctx.mul, ctx.pow = ctx.mul_raw, ctx._pow_raw
+    return ctx
+
+
+def test_table_free_fields_give_the_same_arrays(monkeypatch):
+    # above m = 16 the vector helpers run the shift-xor product; only the
+    # point count, which walks the log tables, falls back to the scalar oracle
     g = TracePoly(0x2B, (0x11, 0, 0x5C))
-    a, b, c, d = reduce_difference_all(ctx, g)
+    bare = table_free(7)
 
-    def results():
-        out = [*vars(classify_all(ctx, g)).values(), *reduce_difference_all(ctx, g),
-               *vars(classify_curves(ctx, a, b, c)).values(),
-               count_points_all(ctx, a, b, c, d)]
-        return [np.asarray(r).tolist() for r in out]
+    def results(ctx):
+        a, b, c, d = reduce_difference_all(ctx, g)
+        out = [*vars(classify_all(ctx, g)).values(), a, b, c, d,
+               *vars(classify_curves(ctx, a, b, c)).values()]
+        return [np.asarray(r).tolist() for r in out], (a, b, c, d)
 
-    batched = results()
-    monkeypatch.setattr(module, "TABLE_MAX_M", 0)
-    assert results() == batched
+    batched, curves = results(CTX[7])
+    assert results(bare)[0] == batched
+    counts = count_points_all(CTX[7], *curves).tolist()
+    monkeypatch.setattr(genus2, "TABLE_MAX_M", 0)
+    assert count_points_all(bare, *curves).tolist() == counts
 
 
 # -- auxiliary curve -------------------------------------------------------------
