@@ -150,7 +150,9 @@ def test_largest_s_below_m_accepted(capsys):
 
 
 # determinism_hash of each report, recorded before the per-shift routes became
-# whole-field array passes; a report must not change with its implementation
+# whole-field array passes (the first four) and before the report sections
+# became pure functions (the rest); a report must not change with its
+# implementation.
 PINNED = [
     (("verify", "--m", "9", "--s", "2", "--count", "1", "--seed", "0"),
      "8caee80e3a394d0d20e2e06af1aa769ae59ff4d6e0d0393d9d817493ba4d9606"),
@@ -162,13 +164,33 @@ PINNED = [
     (("analyze", "--m", "7", "--checks", "genus2,autocorr", "--g",
       '{"a7":"0x5","b":{"1":"0x6","2":"0x2"},"s":2}'),
      "ad0b1f127b96e1308740b84d3547420436b5303c3be727af766c51a3fd04de39"),
+    # every check on one G
+    (("analyze", "--m", "9", "--g", '{"a7":"0x1F","b":{"0":"0x3","1":"0x8"},"s":1}'),
+     "0afc1d3122d822d0b3c943cd501c2120c311317d614cd511071f4e2d8631bfce"),
+    (("analyze", "--m", "11", "--checks", "spectrum,bounds", "--g",
+      '{"a7":"0x5","b":{"2":"0x41"},"s":2}'),
+     "d9a5b814925293de00841745faa1f616416a307b215efc9ff4f36c744261780c"),
+    # genus2 without autocorr: X_alpha comes from the truth table alone
+    (("analyze", "--m", "8", "--checks", "spectrum,bounds,genus2", "--g",
+      '{"a7":"0x1D","b":{"1":"0x6"},"s":1}'),
+     "0a988303450afce01f7fa523ecab87d66c22c9ed2b12eeffcf067081296e9333"),
+    (("scan", "--m", "9", "--count", "20", "--s", "1", "--seed", "42"),
+     "fdc484375b62f1fa1ae1a61a5a301f76231556179aa448b5272a6ba9cb0892a3"),
+    (("curve", "--m", "7", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x0"}'),
+     "fbb7e1e6ef72336067680f91d6f86117e5dc137987f63ce686a20e43ea283650"),
+    (("verify", "--m", "7", "--count", "3", "--s", "1", "--seed", "5", "--checks",
+      "predictor"),
+     "4b6fabd4a7599955b55f32df1f33356a2b4bc596c13eb888a04d62b0d7be9c71"),
+    (("verify", "--m", "7", "--count", "2", "--s", "2", "--seed", "7",
+      "--selftest-negative"),
+     "86dc4f5e787198b51b837c20c11df401f990b440084b2e53efedcc30a6037b0f"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED)
 def test_report_hashes_pinned(capsys, argv, digest):
     code, doc = run_json(capsys, *argv)
-    assert code == 0
+    assert code == (1 if "--selftest-negative" in argv else 0)
     assert doc["determinism_hash"] == digest
 
 
