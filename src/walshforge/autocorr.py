@@ -8,7 +8,6 @@ cross-check between two independent computation paths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,18 +15,13 @@ import numpy as np
 from .boolfn import TracePoly, truth_table
 from .field import FieldCtx
 
-_VEC_MAX_M = 16
+X_ALPHA_MAX_M = 16  # the full table costs q^2 byte gathers
 
 
 @dataclass
 class XAlphaTable:
     q: int
-    x: np.ndarray       # x[alpha] = X_alpha; x[0] unused (0)
-    signed: np.ndarray  # the signed sums before squaring, kept for debugging
-
-    def entries(self):
-        """(alpha, X_alpha) pairs for alpha != 0, in alpha order."""
-        return ((a, int(self.x[a])) for a in range(1, self.q))
+    x: np.ndarray  # x[alpha] = X_alpha; x[0] unused (0)
 
 
 def x_alpha_from_bits(bits: np.ndarray, alpha: int) -> int:
@@ -45,32 +39,19 @@ def x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
     return x_alpha_from_bits(truth_table(ctx, g), alpha)
 
 
-def x_alpha_all(ctx: FieldCtx, g: TracePoly, threads: int = 1) -> XAlphaTable:
-    """Full table over alpha != 0; O(q^2) gathers, shardable over alpha."""
-    if ctx.m > _VEC_MAX_M:
-        raise ValueError(f"full X_alpha table infeasible beyond m={_VEC_MAX_M}")
+def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> XAlphaTable:
+    """Full table over alpha != 0; O(q^2) gathers."""
+    if ctx.m > X_ALPHA_MAX_M:
+        raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     bits = truth_table(ctx, g)
     q = ctx.q
     idx = np.arange(q)
     signed = np.zeros(q, dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        for a in range(lo, hi):
-            signed[a] = q - 2 * int((bits ^ bits[idx ^ a]).sum())
-
-    if threads > 1:
-        # imported here: the thread pool (and the logging it pulls in) costs
-        # single-threaded runs over half a megabyte of resident memory
-        from concurrent.futures import ThreadPoolExecutor
-        step = -(-(q - 1) // threads)
-        ranges = [(lo, min(lo + step, q)) for lo in range(1, q, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
-    else:
-        fill(1, q)
+    for a in range(1, q):
+        signed[a] = q - 2 * int((bits ^ bits[idx ^ a]).sum())
     if (signed[1:] % 2).any():
         raise AssertionError("signed autocorrelation sum must be even")
-    return XAlphaTable(q=q, x=signed * signed, signed=signed)
+    return XAlphaTable(q=q, x=signed * signed)
 
 
 def sigma_autocorr(table: XAlphaTable) -> int:
@@ -99,10 +80,3 @@ def sigma_decomposition(table: XAlphaTable) -> dict:
                 f"X_alpha={v} at alpha={alpha:#x} outside {{0, {2*q}, {8*q}}}: "
                 "trichotomy violated (even m, a7 = 0, or implementation bug)")
     return {"N0": n0, "N": n, "Z": z}
-
-
-def table_csv(table: XAlphaTable, fileobj) -> None:
-    w = csv.writer(fileobj)
-    w.writerow(["alpha", "x_alpha"])
-    for a, v in table.entries():
-        w.writerow([a, v])

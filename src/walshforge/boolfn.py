@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import FieldCtx, MAX_M, TABLE_MAX_M
+from .field import FieldCtx, MAX_M
 from .genus2 import QuinticCurve
 
 
@@ -40,17 +40,6 @@ class TracePoly:
         return [7] + [(1 << i) + 1 for i, bi in enumerate(self.b) if bi]
 
 
-def sigma_digits(i: int) -> int:
-    """Number of ones in the binary expansion of i."""
-    if i < 0:
-        raise ValueError("sigma_digits needs a nonnegative integer")
-    return i.bit_count()
-
-
-def binary_degree(g: TracePoly) -> int:
-    return max(sigma_digits(e) for e in g.exponents())
-
-
 def eval_g(ctx: FieldCtx, g: TracePoly, x: int) -> int:
     v = ctx.mul(g.a7, ctx.pow(x, 7))
     for i, bi in enumerate(g.b):
@@ -61,13 +50,11 @@ def eval_g(ctx: FieldCtx, g: TracePoly, x: int) -> int:
 
 def truth_table(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
     """bits[x] = Tr(G(x)) over all x in [0, q), as uint8."""
-    if ctx.m <= TABLE_MAX_M:
-        vals = ctx.monomial_table(g.a7, 7)
-        for i, bi in enumerate(g.b):
-            if bi:
-                vals = vals ^ ctx.monomial_table(bi, (1 << i) + 1)
-        return ctx.trace_bits(vals)
-    return np.array([ctx.trace(eval_g(ctx, g, x)) for x in range(ctx.q)], dtype=np.uint8)
+    vals = ctx.monomial_table(g.a7, 7)
+    for i, bi in enumerate(g.b):
+        if bi:
+            vals = vals ^ ctx.monomial_table(bi, (1 << i) + 1)
+    return ctx.trace_bits(vals)
 
 
 def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:
@@ -136,12 +123,9 @@ def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]
 # ---------------------------------------------------------------------------
 # JSON form: {"a7": "0x..", "b": {"0": "0x..", "2": "0x.."}, "s": n}
 
-def tracepoly_to_json(g: TracePoly) -> str:
-    return json.dumps({
-        "a7": hex(g.a7),
-        "b": {str(i): hex(bi) for i, bi in enumerate(g.b) if bi},
-        "s": g.s,
-    })
+def tracepoly_to_dict(g: TracePoly) -> dict:
+    return {"a7": hex(g.a7), "b": {str(i): hex(bi) for i, bi in enumerate(g.b) if bi},
+            "s": g.s}
 
 
 def tracepoly_from_json(text: str) -> TracePoly:

@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 all hard checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Reports carry a determinism hash over everything except
-the metadata block, so two runs with the same config and seed hash identically
-regardless of --threads.
+the metadata block, so two runs with the same config and seed hash identically.
+``--threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -21,17 +21,20 @@ import json
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
-from .boolfn import TracePoly, reduce_difference_all, tracepoly_from_json, truth_table
+from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
+                     tracepoly_to_dict, truth_table)
 from .field import FieldCtx
-from .genus2 import classify, classify_curves, count_points, count_points_all, curve_from_json
-from .spectrum import divisibility_check, fwht, l4_fourth, linf, nonlinearity, parseval_ok
-from .autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all, x_alpha_from_bits
+from .genus2 import (classify, classify_curves, count_points, count_points_all,
+                     curve_from_json, curve_to_dict)
+from .spectrum import divisibility_check, fwht, l4_fourth, linf, nonlinearity, parseval_sum
+from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
                         classify_all, count_n0_n)
 from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
@@ -41,6 +44,10 @@ from .report import Check, Report, compare
 ALL_CHECKS = ("spectrum", "autocorr", "predictor", "bounds", "auxcurve", "genus2")
 ODD_ONLY_CHECKS = ("autocorr", "predictor", "auxcurve")
 SLOW_M = 13
+# Largest m any command accepts: every route holds whole-field int64 arrays,
+# whose share of peak RSS grows about 4x per +2 in m (README gives figures),
+# and the Parseval sum is exact in int64 through m = 20.
+WHOLE_FIELD_MAX_M = 20
 SCHEMA = "walsh-forge/1"
 
 
@@ -60,6 +67,9 @@ def _read_arg_or_file(value: str) -> str:
 
 
 def _build_ctx(args) -> FieldCtx:
+    if args.m > WHOLE_FIELD_MAX_M:
+        raise UsageError(f"m={args.m} above {WHOLE_FIELD_MAX_M}: every command holds "
+                         "whole-field arrays of 2^m elements")
     try:
         modulus = int(args.modulus, 16) if args.modulus else None
         return FieldCtx(args.m, modulus)
@@ -83,6 +93,10 @@ def _resolve_checks(args, m: int) -> tuple[str, ...]:
 
 
 def _require_slow(args) -> None:
+    """Gate for the commands that build the O(q^2) X_alpha table."""
+    if args.m > X_ALPHA_MAX_M:
+        raise UsageError(f"m={args.m}: the X_alpha table (autocorr, genus2, verify) "
+                         f"is limited to m <= {X_ALPHA_MAX_M}")
     if args.m >= SLOW_M and not args.slow:
         raise UsageError(
             f"m={args.m} runs an O(q^2) sweep; pass --slow to confirm")
@@ -116,99 +130,101 @@ def _corpus(args, ctx: FieldCtx) -> list[TracePoly]:
     return standard_corpus(ctx.q, args.count, args.s, args.seed)
 
 
-def _g_echo(g: TracePoly) -> dict:
-    return {"a7": hex(g.a7), "b": {str(i): hex(b) for i, b in enumerate(g.b) if b},
-            "s": g.s}
+def _tagged(checks: list[Check], i: int) -> list[Check]:
+    """The checks renamed ``name[i]``, for reports over several G."""
+    return [replace(c, name=f"{c.name}[{i}]") for c in checks]
 
 
-def _spectrum_section(ctx, g, checks: list[Check], want_bounds: bool) -> dict:
-    spec = fwht(truth_table(ctx, g))
-    lv = linf(spec)
-    sigma_spec = l4_fourth(spec)
-    row = {"linf": lv, "nl": nonlinearity(spec), "sigma4_spectrum": sigma_spec}
-    checks.append(compare("parseval", int((spec.values.astype(object) ** 2).sum()),
-                          "==", ctx.q * ctx.q))
-    if want_bounds:
-        div = divisibility_check(spec, 3)
-        checks.append(compare("walsh_divisibility", lv % div["divisor"], "==", 0,
-                              note=f"divisor {div['divisor']}"))
-        checks.append(check_sigma_bound(ctx, g, sigma_spec))
-        checks.extend(check_linf_lower(ctx, g, lv))
-        checks.append(check_linf_upper(ctx, lv))
-    return row
+# ---------------------------------------------------------------------------
+# report sections: each returns (summary row, checks) for one G
+
+def _bound_checks(ctx, g, lv: int, sigma4: int) -> list[Check]:
+    return [check_sigma_bound(ctx, g, sigma4), *check_linf_lower(ctx, g, lv),
+            check_linf_upper(ctx, lv)]
 
 
-def _autocorr_section(ctx, g, checks: list[Check], sigma_spec: int | None,
-                      table) -> dict:
+def _spectrum_section(ctx, g, spec, bounds: bool):
+    lv, sigma = linf(spec), l4_fourth(spec)
+    row = {"linf": lv, "nl": nonlinearity(spec), "sigma4_spectrum": sigma}
+    checks = [compare("parseval", parseval_sum(spec), "==", ctx.q * ctx.q)]
+    if bounds:
+        divisor = divisibility_check(spec, 3)["divisor"]
+        checks.append(compare("walsh_divisibility", lv % divisor, "==", 0,
+                              note=f"divisor {divisor}"))
+        checks += _bound_checks(ctx, g, lv, sigma)
+    return row, checks
+
+
+def _autocorr_section(ctx, table, sigma_spec: int | None):
     sigma_auto = sigma_autocorr(table)
     row = {"sigma4_autocorr": sigma_auto}
+    checks = []
     if sigma_spec is not None:
         checks.append(compare("sigma4_cross_path", sigma_auto, "==", sigma_spec))
     try:
         dec = sigma_decomposition(table)
-        row.update(dec)
-        checks.append(Check(name="x_alpha_trichotomy", lhs="all alpha",
-                            rhs="{0,2q,8q}", relation="in", passed=True))
-        checks.append(compare("sigma4_decomposition",
-                              ctx.q ** 2 + 2 * ctx.q * dec["N0"] + 8 * ctx.q * dec["N"],
-                              "==", sigma_auto))
     except ValueError as exc:
         checks.append(Check(name="x_alpha_trichotomy", lhs=str(exc), rhs="{0,2q,8q}",
                             relation="in", passed=False))
-    return row
+        return row, checks
+    row.update(dec)
+    checks += [Check(name="x_alpha_trichotomy", lhs="all alpha", rhs="{0,2q,8q}",
+                     relation="in", passed=True),
+               compare("sigma4_decomposition",
+                       ctx.q ** 2 + 2 * ctx.q * dec["N0"] + 8 * ctx.q * dec["N"],
+                       "==", sigma_auto)]
+    return row, checks
 
 
-def _predictor_section(ctx, g, checks: list[Check], measured: dict | None) -> dict:
-    counted = count_n0_n(ctx, g)
+def _predictor_section(ctx, g, shifts, measured: dict, note: str = ""):
+    """Predicted counts from the classify_all arrays; compared with the
+    autocorrelation counts when ``measured`` holds them."""
+    counted = count_n0_n(ctx, g, shifts)
     row = {"predicted_N0": counted["N0"], "predicted_N": counted["N"],
            "predicted_Z": counted["Z"]}
-    if measured is not None and "N0" in measured:
+    checks = []
+    if "N0" in measured:
         checks.append(compare("predicted_counts_match",
                               counted["N0"] * 10 ** 9 + counted["N"], "==",
-                              measured["N0"] * 10 ** 9 + measured["N"],
-                              note="(N0, N) predictor vs autocorrelation"))
-    checks.extend(counted["bounds_report"])
-    return row
+                              measured["N0"] * 10 ** 9 + measured["N"], note=note))
+    return row, checks + counted["bounds_report"]
 
 
-def _genus2_section(ctx, g, checks: list[Check], table=None, tag: str = ""):
-    """Third route: every shift's reduced quintic must land in the count set its
-    symplectic data predicts, and (count - q - 1)^2 must reproduce X_alpha.
-
-    Returns the report row and the per-shift arrays (entry k is alpha = k+1)."""
+def _genus2_route(ctx, g) -> dict:
+    """Third route for every shift: the reduced quintic, its point count and
+    its radical (entry k is alpha = k + 1)."""
     a, b, c, d = reduce_difference_all(ctx, g)
     curves = classify_curves(ctx, a, b, c)
-    n = count_points_all(ctx, a, b, c, d)
-    if table is not None:
-        xa = table.x[1:]
-    else:
-        bits = truth_table(ctx, g)
-        xa = np.array([x_alpha_from_bits(bits, alpha) for alpha in range(1, ctx.q)])
-    dev = n - ctx.q - 1
-    bad_member = int(np.count_nonzero(np.abs(dev) != curves.radius))
-    bad_bridge = int(np.count_nonzero(dev * dev != xa))
-    checks.append(compare(f"curve_count_membership{tag}", bad_member, "==", 0,
-                          note=f"{ctx.q - 1} shifts"))
-    checks.append(compare(f"curve_count_bridge{tag}", bad_bridge, "==", 0,
-                          note="(count-q-1)^2 vs X_alpha"))
-    w_hist = Counter(curves.w.tolist())
-    row = {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}
-    return row, {"a": a, "b": b, "c": c, "d": d, "count": n, "w": curves.w}
+    return {"a": a, "b": b, "c": c, "d": d, "count": count_points_all(ctx, a, b, c, d),
+            "w": curves.w, "radius": curves.radius}
 
 
-def _auxcurve_section(ctx, g, checks: list[Check], predicted_n: int | None) -> dict:
+def _genus2_section(ctx, route: dict, table):
+    """Every shift's count must land in the set its symplectic data predicts,
+    and (count - q - 1)^2 must reproduce X_alpha."""
+    dev = route["count"] - ctx.q - 1
+    bad_member = int(np.count_nonzero(np.abs(dev) != route["radius"]))
+    bad_bridge = int(np.count_nonzero(dev * dev != table.x[1:]))
+    checks = [compare("curve_count_membership", bad_member, "==", 0,
+                      note=f"{ctx.q - 1} shifts"),
+              compare("curve_count_bridge", bad_bridge, "==", 0,
+                      note="(count-q-1)^2 vs X_alpha")]
+    w_hist = Counter(route["w"].tolist())
+    return {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}, checks
+
+
+def _auxcurve_section(ctx, g, predicted_n: int | None):
     gamma = gamma_of(ctx, g)
     pts = enumerate_points(ctx, gamma)
     s7 = s7_sum(ctx, gamma)
-    checks.append(compare("aux_count_identity", pts.count_total, "==", s7 + ctx.q + 1))
-    checks.append(compare("aux_s7_weil", s7 * s7, "<=", 36 * ctx.q))
     counted = count_n123(ctx, g, pts)
-    checks.extend(counted["bounds"])
+    checks = [compare("aux_count_identity", pts.count_total, "==", s7 + ctx.q + 1),
+              compare("aux_s7_weil", s7 * s7, "<=", 36 * ctx.q), *counted["bounds"]]
     if predicted_n is not None:
         checks.append(compare("aux_n_assembly", counted["N_assembled"], "==", predicted_n))
-    return {"gamma": hex(gamma), "S7": s7, "aux_points": len(pts.points),
-            "N1": counted["N1"], "N2": counted["N2"], "N3": counted["N3"],
-            "N_assembled": counted["N_assembled"]}
+    return ({"gamma": hex(gamma), "S7": s7, "aux_points": len(pts.points),
+             "N1": counted["N1"], "N2": counted["N2"], "N3": counted["N3"],
+             "N_assembled": counted["N_assembled"]}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +233,34 @@ def _auxcurve_section(ctx, g, checks: list[Check], predicted_n: int | None) -> d
 def cmd_analyze(args) -> Report:
     ctx = _build_ctx(args)
     checks_sel = _resolve_checks(args, args.m)
-    if "autocorr" in checks_sel or "genus2" in checks_sel:
+    with_table = "autocorr" in checks_sel or "genus2" in checks_sel
+    if with_table:
         _require_slow(args)
     g = _load_g(args, ctx)
     if g is None:
         raise UsageError("analyze needs --g")
     checks: list[Check] = []
     summary: dict = {}
-    table = None
+
+    def add(section) -> None:
+        row, section_checks = section
+        summary.update(row)
+        checks.extend(section_checks)
+
+    table = x_alpha_all(ctx, g) if with_table else None
     if "spectrum" in checks_sel or "bounds" in checks_sel:
-        summary.update(_spectrum_section(ctx, g, checks, "bounds" in checks_sel))
+        add(_spectrum_section(ctx, g, fwht(truth_table(ctx, g)), "bounds" in checks_sel))
     if "autocorr" in checks_sel:
-        table = x_alpha_all(ctx, g, threads=args.threads)
-        summary.update(_autocorr_section(ctx, g, checks,
-                                         summary.get("sigma4_spectrum"), table))
+        add(_autocorr_section(ctx, table, summary.get("sigma4_spectrum")))
     if "predictor" in checks_sel:
-        summary.update(_predictor_section(ctx, g, checks, summary))
+        add(_predictor_section(ctx, g, classify_all(ctx, g), summary,
+                               note="(N0, N) predictor vs autocorrelation"))
     if "genus2" in checks_sel:
-        summary.update(_genus2_section(ctx, g, checks, table)[0])
+        add(_genus2_section(ctx, _genus2_route(ctx, g), table))
     if "auxcurve" in checks_sel:
-        summary.update(_auxcurve_section(ctx, g, checks, summary.get("predicted_N")))
+        add(_auxcurve_section(ctx, g, summary.get("predicted_N")))
     config = {"cmd": "analyze", "m": ctx.m, "modulus": hex(ctx.modulus),
-              "g": _g_echo(g), "checks": list(checks_sel)}
+              "g": tracepoly_to_dict(g), "checks": list(checks_sel)}
     return Report(schema=SCHEMA, config=config, checks=checks, summary=summary)
 
 
@@ -250,17 +272,12 @@ def cmd_scan(args) -> Report:
     min_linf = ctx.q + 1
     max_linf = min_nl = -1
     for i, g in enumerate(corpus):
-        spec = fwht(truth_table(ctx, g))
-        lv, nl, s4 = linf(spec), nonlinearity(spec), l4_fourth(spec)
-        rows.append({"index": i, **_g_echo(g), "linf": lv, "nl": nl, "sigma4": s4})
-        if not parseval_ok(spec):
-            checks.append(Check(name=f"parseval[{i}]", lhs="sum", rhs=str(ctx.q ** 2),
-                                relation="==", passed=False))
-        for chk in (check_sigma_bound(ctx, g, s4), *check_linf_lower(ctx, g, lv),
-                    check_linf_upper(ctx, lv)):
-            if not chk.passed:
-                chk.name = f"{chk.name}[{i}]"
-                checks.append(chk)
+        row, spectral = _spectrum_section(ctx, g, fwht(truth_table(ctx, g)), bounds=False)
+        lv, nl, s4 = row["linf"], row["nl"], row["sigma4_spectrum"]
+        rows.append({"index": i, **tracepoly_to_dict(g), "linf": lv, "nl": nl, "sigma4": s4})
+        # a scan reports only the checks that fail
+        checks += _tagged([c for c in spectral + _bound_checks(ctx, g, lv, s4)
+                           if not c.passed], i)
         min_linf, max_linf = min(min_linf, lv), max(max_linf, lv)
         min_nl = nl if min_nl < 0 else min(min_nl, nl)
     checks.append(compare("aggregate_linf_upper", max_linf ** 2, "<=", 36 * ctx.q))
@@ -286,18 +303,11 @@ def cmd_verify(args) -> Report:
     alphas = 0
     total_mism = 0
     for gi, g in enumerate(corpus):
-        table = x_alpha_all(ctx, g, threads=args.threads)
-        summary_g: dict = {"sigma4_spectrum": None}
-        spec = fwht(truth_table(ctx, g))
-        sigma_spec = l4_fourth(spec)
-        checks.append(compare(f"sigma4_cross_path[{gi}]", sigma_autocorr(table),
-                              "==", sigma_spec))
-        try:
-            dec = sigma_decomposition(table)
-        except ValueError as exc:
-            checks.append(Check(name=f"x_alpha_trichotomy[{gi}]", lhs=str(exc),
-                                rhs="{0,2q,8q}", relation="in", passed=False))
-            dec = None
+        table = x_alpha_all(ctx, g)
+        measured, auto_checks = _autocorr_section(ctx, table,
+                                                  l4_fourth(fwht(truth_table(ctx, g))))
+        # verify keeps the cross-path check, and the trichotomy only when it fails
+        g_checks = [c for c in auto_checks if c.name == "sigma4_cross_path" or not c.passed]
         shifts = classify_all(ctx, g)
         predicted = shifts.predicted.copy()
         if args.selftest_negative and gi == 0:
@@ -312,29 +322,22 @@ def cmd_verify(args) -> Report:
                         "v": hex(int(shifts.v[k])) if shifts.v[k] >= 0 else None})
                    for k in wrong[:10 - len(mismatches)]]
         mismatches.extend(rec for _, rec in records)
-        counted = count_n0_n(ctx, g, shifts)
-        if dec is not None:
-            checks.append(compare(f"predicted_counts_match[{gi}]",
-                                  counted["N0"] * 10 ** 9 + counted["N"], "==",
-                                  dec["N0"] * 10 ** 9 + dec["N"]))
-        for chk in counted["bounds_report"]:
-            chk.name = f"{chk.name}[{gi}]"
-            checks.append(chk)
+        counts, predictor_checks = _predictor_section(ctx, g, shifts, measured)
+        g_checks += predictor_checks
         if "genus2" in checks_sel:
-            _, route = _genus2_section(ctx, g, checks, table, tag=f"[{gi}]")
+            route = _genus2_route(ctx, g)
+            g_checks += _genus2_section(ctx, route, table)[1]
             for k, rec in records:
                 rec["curve"] = {key: hex(int(route[key][k])) for key in "abcd"}
                 rec["count"] = int(route["count"][k])
                 rec["w"] = int(route["w"][k])
         if "auxcurve" in checks_sel:
-            before = len(checks)
-            _auxcurve_section(ctx, g, checks, counted["N"])
-            for chk in checks[before:]:
-                chk.name = f"{chk.name}[{gi}]"
+            g_checks += _auxcurve_section(ctx, g, counts["predicted_N"])[1]
+        checks += _tagged(g_checks, gi)
     checks.insert(0, compare("predictor_oracle_agreement", total_mism, "==", 0,
                              note=f"{alphas} shifts checked"))
     config = {"cmd": "verify", "m": ctx.m, "modulus": hex(ctx.modulus),
-              "g": _g_echo(g0) if g0 else None,
+              "g": tracepoly_to_dict(g0) if g0 else None,
               "corpus": None if g0 else {"seed": args.seed, "count": args.count, "s": args.s},
               "checks": list(checks_sel),
               "selftest_negative": bool(args.selftest_negative)}
@@ -361,7 +364,7 @@ def cmd_curve(args) -> Report:
         compare("w_parity", data.w % 2, "==", ctx.m % 2),
     ]
     config = {"cmd": "curve", "m": ctx.m, "modulus": hex(ctx.modulus),
-              "curve": {k: hex(getattr(cv, k)) for k in ("a", "b", "c", "d")}}
+              "curve": curve_to_dict(cv)}
     return Report(schema=SCHEMA, config=config, checks=checks,
                   summary={"w": data.w, "V_equals_W": data.V_equals_W,
                            "predicted_counts": sorted(data.predicted_counts),
@@ -403,7 +406,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the X_alpha sweep (never affects results)")
+                   help="accepted and echoed in the report's meta; has no effect")
     p.add_argument("--slow", action="store_true",
                    help=f"allow O(q^2) sweeps at m >= {SLOW_M}")
 

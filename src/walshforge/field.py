@@ -383,14 +383,12 @@ class FieldCtx:
         q = self.q
         if coef == 0:
             return np.zeros(q, dtype=np.int64)
-        if self.m <= TABLE_MAX_M:
-            out = np.zeros(q, dtype=np.int64)
-            logs = self._log[1:]
-            idx = (int(self._log[coef]) + e * logs) % (q - 1)
-            out[1:] = self._exp[idx]
-            return out
-        return np.array([0] + [self.mul_raw(coef, self.pow(x, e)) for x in range(1, q)],
-                        dtype=np.int64)
+        if self._exp is None:
+            return self.vmul(coef, self.vpow(np.arange(q, dtype=np.int64), e))
+        # one gather: log(coef * x^e) = log(coef) + e*log(x)
+        out = np.zeros(q, dtype=np.int64)
+        out[1:] = self._exp[(int(self._log[coef]) + e * self._log[1:]) % (q - 1)]
+        return out
 
     def vtrace(self, vals) -> np.ndarray:
         """Vector trace: parity of popcount(v & trace_mask), as int64 0/1."""

@@ -108,18 +108,11 @@ def classify(ctx: FieldCtx, curve: QuinticCurve) -> SymplecticData:
 
 def count_points_affine(ctx: FieldCtx, curve: QuinticCurve) -> int:
     """2 * #{x : Tr(a x^5 + b x^3 + c x + d) = 0} by direct enumeration."""
-    if ctx.m <= TABLE_MAX_M:
-        vals = (ctx.monomial_table(curve.a, 5)
-                ^ ctx.monomial_table(curve.b, 3)
-                ^ ctx.monomial_table(curve.c, 1)
-                ^ np.int64(curve.d))
-        zeros = int(ctx.q - ctx.trace_bits(vals).sum())
-    else:
-        zeros = sum(
-            1 for x in range(ctx.q)
-            if ctx.trace(ctx.mul(curve.a, ctx.pow(x, 5)) ^ ctx.mul(curve.b, ctx.pow(x, 3))
-                         ^ ctx.mul(curve.c, x) ^ curve.d) == 0)
-    return 2 * zeros
+    vals = (ctx.monomial_table(curve.a, 5)
+            ^ ctx.monomial_table(curve.b, 3)
+            ^ ctx.monomial_table(curve.c, 1)
+            ^ np.int64(curve.d))
+    return 2 * int(ctx.q - ctx.trace_bits(vals).sum())
 
 
 def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:
@@ -229,10 +222,10 @@ def maisner_nart_w(ctx: FieldCtx, curve: QuinticCurve, z: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip: {"a":"0x..","b":"0x..","c":"0x..","d":"0x.."}
+# JSON form: {"a":"0x..","b":"0x..","c":"0x..","d":"0x.."}
 
-def curve_to_json(curve: QuinticCurve) -> str:
-    return json.dumps({k: hex(getattr(curve, k)) for k in ("a", "b", "c", "d")})
+def curve_to_dict(curve: QuinticCurve) -> dict:
+    return {k: hex(getattr(curve, k)) for k in ("a", "b", "c", "d")}
 
 
 def curve_from_json(text: str) -> QuinticCurve:

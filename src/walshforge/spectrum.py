@@ -12,8 +12,6 @@ convention (asserted by a test, not assumed).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +68,16 @@ def nonlinearity(spec: WalshSpectrum) -> int:
     return (1 << (spec.m - 1)) - linf(spec) // 2
 
 
+def parseval_sum(spec: WalshSpectrum) -> int:
+    """sum of values^2, which Parseval fixes at q^2.
+
+    |values| <= q, so the sum is at most q^3 and exact in int64 through m = 20.
+    """
+    return int(np.sum(spec.values ** 2))
+
+
 def parseval_ok(spec: WalshSpectrum) -> bool:
-    return int(np.sum(spec.values.astype(np.int64) ** 2)) == spec.q * spec.q
+    return parseval_sum(spec) == spec.q * spec.q
 
 
 def divisibility_check(spec: WalshSpectrum, d: int) -> dict:
@@ -91,21 +97,3 @@ def divisibility_check(spec: WalshSpectrum, d: int) -> dict:
         "divides": lv % divisor == 0,
         "all_values_divisible": bool((spec.values % divisor == 0).all()),
     }
-
-
-def spectrum_csv(spec: WalshSpectrum, fileobj) -> None:
-    w = csv.writer(fileobj)
-    w.writerow(["v", "value"])
-    for v, val in enumerate(spec.values):
-        w.writerow([v, int(val)])
-
-
-def summary_json(spec: WalshSpectrum, d: int = 3) -> str:
-    div = divisibility_check(spec, d)
-    return json.dumps({
-        "linf": linf(spec),
-        "nl": nonlinearity(spec),
-        "sigma4": l4_fourth(spec),
-        "parseval_ok": parseval_ok(spec),
-        "divisibility_ok": div["divides"],
-    })

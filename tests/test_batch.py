@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import walshforge.field as field
 import walshforge.genus2 as genus2
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
-from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all
+from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all, truth_table
 from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
@@ -232,7 +232,8 @@ def test_table_free_fields_give_the_same_arrays(monkeypatch):
     def results(ctx):
         a, b, c, d = reduce_difference_all(ctx, g)
         out = [*vars(classify_all(ctx, g)).values(), a, b, c, d,
-               *vars(classify_curves(ctx, a, b, c)).values()]
+               *vars(classify_curves(ctx, a, b, c)).values(), truth_table(ctx, g),
+               *(ctx.monomial_table(coef, e) for coef, e in [(1, 1), (0x2B, 7), (0x7F, 126)])]
         return [np.asarray(r).tolist() for r in out], (a, b, c, d)
 
     batched, curves = results(CTX[7])

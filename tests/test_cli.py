@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +195,42 @@ def test_report_hashes_pinned(capsys, argv, digest):
     code, doc = run_json(capsys, *argv)
     assert code == (1 if "--selftest-negative" in argv else 0)
     assert doc["determinism_hash"] == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--m", "17", "--slow", "--checks", "autocorr", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "17", "--slow", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "17", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x1"}'),
+    ("verify", "--m", "17", "--slow", "--count", "1"),
+])
+def test_x_alpha_table_size_refused_up_front(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "m <= 16" in err and not out
+
+
+LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from walshforge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--m", "31", "--checks", "spectrum,predictor", "--g", '{"a7":"0x1"}'),
+    ("scan", "--m", "31", "--count", "1"),
+    ("curve", "--m", "31", "--curve", '{"a":"0x1","b":"0x0","c":"0x0","d":"0x0"}'),
+])
+def test_field_size_limit_refused_before_any_work(argv):
+    # under a 1 GiB address-space cap, so a missing guard fails this test
+    # with a MemoryError instead of filling the host's memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run([sys.executable, "-c", LIMITED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "m=31 above 20" in proc.stderr and "Traceback" not in proc.stderr
+    assert not proc.stdout
 
 
 def test_verify_single_g(capsys):

@@ -1,6 +1,3 @@
-import io
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
 from walshforge.spectrum import (WalshSpectrum, divisibility_check, fwht, l4_fourth,
-                                 linf, nonlinearity, parseval_ok, spectrum_csv,
-                                 summary_json)
+                                 linf, nonlinearity, parseval_ok)
 
 
 def walsh_double_sum(table, v):
@@ -106,14 +102,3 @@ def test_int64_headroom_is_documented():
     q = 1 << 15
     assert q ** 4 < 2 ** 63
     assert (1 << 16) ** 4 >= 2 ** 63
-
-
-def test_csv_and_json_outputs(ctx3):
-    spec = fwht(truth_table(ctx3, TracePoly(a7=1)))
-    buf = io.StringIO()
-    spectrum_csv(spec, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "v,value"
-    assert len(lines) == 9
-    doc = json.loads(summary_json(spec))
-    assert set(doc) >= {"linf", "nl", "sigma4", "parseval_ok", "divisibility_ok"}
