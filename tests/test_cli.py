@@ -187,6 +187,14 @@ PINNED = [
     (("verify", "--m", "7", "--count", "2", "--s", "2", "--seed", "7",
       "--selftest-negative"),
      "86dc4f5e787198b51b837c20c11df401f990b440084b2e53efedcc30a6037b0f"),
+    # fields above 16 bits
+    (("analyze", "--m", "17", "--checks", "spectrum,bounds,predictor,auxcurve", "--g",
+      '{"a7":"0x1f3","b":{"0":"0x3"},"s":0}'),
+     "34f9f4d21e9bb4656aebf323dac4a99db43f454ff17a6a2c198be11d104dc90f"),
+    (("scan", "--m", "17", "--count", "2", "--s", "2"),
+     "3a15afb576807168dcc534432dcbb5ef5aaf684411dec6b6d64abb8ab33b006b"),
+    (("curve", "--m", "17", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x0"}'),
+     "a166d120aec46ab093d051ed539e78e7ffb0f6f78ed1159e976a5e97f942a8c0"),
 ]
 
 
