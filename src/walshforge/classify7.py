@@ -12,8 +12,8 @@ is exercised against brute-force X_alpha over every alpha by the test suite;
 no part of it is trusted by construction.
 
 :func:`classify_all` runs the same steps as whole-field array passes over
-every alpha at once (above m = 16 on the table-free vector helpers); the
-per-alpha :func:`classify_alpha` is its test oracle.
+every alpha at once; the per-alpha :func:`classify_alpha` is its test
+oracle.
 
 The module also carries the family's bound checkers (all verdicts in exact
 integer arithmetic):

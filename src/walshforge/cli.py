@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
                      tracepoly_to_dict, truth_table)
-from .field import FieldCtx
+from .field import MAX_M, FieldCtx
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
 from .spectrum import divisibility_check, fwht, l4_fourth, linf, nonlinearity, parseval_sum
@@ -44,10 +44,6 @@ from .report import Check, Report, compare
 ALL_CHECKS = ("spectrum", "autocorr", "predictor", "bounds", "auxcurve", "genus2")
 ODD_ONLY_CHECKS = ("autocorr", "predictor", "auxcurve")
 SLOW_M = 13
-# Largest m any command accepts: every route holds whole-field int64 arrays,
-# whose share of peak RSS grows about 4x per +2 in m (README gives figures),
-# and the Parseval sum is exact in int64 through m = 20.
-WHOLE_FIELD_MAX_M = 20
 SCHEMA = "walsh-forge/1"
 
 
@@ -67,8 +63,8 @@ def _read_arg_or_file(value: str) -> str:
 
 
 def _build_ctx(args) -> FieldCtx:
-    if args.m > WHOLE_FIELD_MAX_M:
-        raise UsageError(f"m={args.m} above {WHOLE_FIELD_MAX_M}: every command holds "
+    if args.m > MAX_M:
+        raise UsageError(f"m={args.m} above {MAX_M}: every command holds "
                          "whole-field arrays of 2^m elements")
     try:
         modulus = int(args.modulus, 16) if args.modulus else None

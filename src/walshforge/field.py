@@ -5,14 +5,13 @@ power basis, reduced modulo an explicit degree-m irreducible ``modulus``
 bitmask.  Everything here is deterministic and pure; a :class:`FieldCtx` is
 immutable after construction and safe to share across workers.
 
-Multiplication is shift-xor reduction at heart.  For m <= 16 a context builds
-log/antilog tables when it is constructed; they back the scalar ``mul`` and
-``pow`` and the whole-field vector helpers (``vmul``, ``vpow``,
-``vfrac_pow``, ``vhalf_trace``, ``vsolve_artin_schreier``, ``trace_bits``,
-``monomial_table``), which act elementwise on int64 arrays of elements.
-Above m = 16 the scalar operations are the shift-xor ones and the vector
-helpers run a numpy shift-xor product.  Table-backed results are
-bit-identical to the shift-xor path (tests cross-check the two).
+Multiplication is shift-xor reduction at heart.  Every context builds
+log/antilog tables from it when it is constructed (24 MB of int64 at
+m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
+helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vhalf_trace``,
+``vsolve_artin_schreier``, ``trace_bits``, ``monomial_table``), which act
+elementwise on int64 arrays of elements.  Tests cross-check the tables
+against the shift-xor product ``mul_raw``.
 """
 
 from __future__ import annotations
@@ -22,8 +21,10 @@ from math import gcd
 
 import numpy as np
 
-MAX_M = 31
-TABLE_MAX_M = 16
+# Largest field any context accepts: every route holds whole-field int64
+# arrays, whose share of peak RSS grows about 4x per +2 in m (README gives
+# figures), and the Parseval sum is exact in int64 through m = 20.
+MAX_M = 20
 BATCH = 8192  # elements in any 2-D temporary of a batched whole-field pass
 
 
@@ -131,14 +132,7 @@ class FieldCtx:
                 raise AssertionError(f"trace of basis element not in GF(2): {t:#x}")
             mask |= t << i
         self._trace_mask = mask
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        if m <= TABLE_MAX_M:
-            self._build_tables()
-        else:
-            # no tables this large: the scalar operations are the shift-xor ones
-            self.mul = self.mul_raw
-            self.pow = self._pow_raw
+        self._build_tables()
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -156,7 +150,7 @@ class FieldCtx:
         return x ^ y
 
     def mul_raw(self, x: int, y: int) -> int:
-        """Carryless product reduced by the modulus (shift-xor; table-free)."""
+        """Carryless product reduced by the modulus (shift-xor)."""
         m, mod, r = self.m, self.modulus, 0
         while y:
             if y & 1:
@@ -180,7 +174,7 @@ class FieldCtx:
         return int(self._exp[(int(self._log[x]) * n) % (self.q - 1)])
 
     def _pow_raw(self, x: int, n: int) -> int:
-        """Square-and-multiply on shift-xor products (table-free)."""
+        """Square-and-multiply on shift-xor products."""
         if x == 0:
             if n < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
@@ -247,9 +241,8 @@ class FieldCtx:
     # -- log/antilog tables ---------------------------------------------------
 
     def ensure_tables(self) -> None:
-        """Tables are built with the context (m <= 16); kept as an idempotent check."""
-        if self._exp is None:
-            raise ValueError(f"log tables unsupported for m={self.m} > {TABLE_MAX_M}")
+        """No-op, kept for existing callers: every context builds its tables
+        when constructed."""
 
     def _build_tables(self) -> None:
         # powers of a generator by doubling: exp[n:2n] = exp[:n] * g^n
@@ -281,7 +274,7 @@ class FieldCtx:
     # Arguments are int64 arrays of field elements (or ints, broadcast).
 
     def _vmul_raw(self, x, y) -> np.ndarray:
-        """Elementwise shift-xor product (table-free)."""
+        """Elementwise shift-xor product; the tables are built from it."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=np.int64),
                                    np.asarray(y, dtype=np.int64))
         r = np.zeros(x.shape, dtype=np.int64)
@@ -294,8 +287,6 @@ class FieldCtx:
 
     def vmul(self, x, y) -> np.ndarray:
         x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        if self._exp is None:
-            return self._vmul_raw(x, y)
         out = self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
         return np.where((x == 0) | (y == 0), 0, out)
 
@@ -304,16 +295,7 @@ class FieldCtx:
         zero = x == 0
         if n < 0 and np.count_nonzero(zero):
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        k = n % (self.q - 1)
-        if self._exp is None:
-            r, b = np.ones_like(x), x
-            while k:
-                if k & 1:
-                    r = self._vmul_raw(r, b)
-                b = self._vmul_raw(b, b)
-                k >>= 1
-        else:
-            r = self._exp[(self._log[x] * k) % (self.q - 1)]
+        r = self._exp[(self._log[x] * (n % (self.q - 1))) % (self.q - 1)]
         return np.where(zero, int(n == 0), r)
 
     def vfrac_pow(self, x, num: int, den: int) -> np.ndarray:
@@ -352,7 +334,7 @@ class FieldCtx:
     def trace_zero_counts(self, coefs: list[np.ndarray], exps: list[int],
                           consts: np.ndarray) -> np.ndarray:
         """For each k: #{x : Tr(sum_j coefs[j][k] * x^exps[j] + consts[k]) = 0},
-        by evaluating every x (tables only).
+        by evaluating every x.
 
         x runs over powers g^i of the table generator, so x^e has log e*i and
         Tr(coef * x^e) is one lookup in a trace table indexed by logs.  Work
@@ -383,8 +365,6 @@ class FieldCtx:
         q = self.q
         if coef == 0:
             return np.zeros(q, dtype=np.int64)
-        if self._exp is None:
-            return self.vmul(coef, self.vpow(np.arange(q, dtype=np.int64), e))
         # one gather: log(coef * x^e) = log(coef) + e*log(x)
         out = np.zeros(q, dtype=np.int64)
         out[1:] = self._exp[(int(self._log[coef]) + e * self._log[1:]) % (q - 1)]

@@ -14,8 +14,7 @@ ell = (1 + z^-4)^(1/3) at a root z of P.
 ``classify_curves`` and ``count_points_all`` do the radical, the predicted
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
-oracles.  The batched count walks the log tables, so for fields too large
-for them (m > 16) it counts curve by curve with ``count_points``.
+oracles (``count_points`` also counts the one curve of ``walshforge curve``).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BATCH, FieldCtx, TABLE_MAX_M
+from .field import BATCH, FieldCtx
 
 
 @dataclass(frozen=True)
@@ -177,9 +176,6 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                      d: np.ndarray) -> np.ndarray:
     """:func:`count_points` for the curves (a[k], b[k], c[k], d[k]) at once,
     by direct enumeration of every x."""
-    if ctx.m > TABLE_MAX_M:  # trace_zero_counts walks the log tables
-        return np.array([count_points(ctx, QuinticCurve(*map(int, cv)))
-                         for cv in zip(a, b, c, d)])
     return 2 * ctx.trace_zero_counts([a, b, c], [5, 3, 1], d) + 1
 
 

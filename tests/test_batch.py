@@ -2,9 +2,9 @@
 
 Every batched route is compared with the scalar function it replaces on
 every alpha (or every x, or every point) of small fields, for coefficient
-sets drawn by Hypothesis.  The scalar functions stay the reference and the
-point count's path for fields without log tables; the table-free test runs
-the m > 16 code on a small field by dropping its tables.
+sets drawn by Hypothesis.  The scalar functions stay the reference; the log
+tables themselves are checked against the shift-xor product on the largest
+fields the CLI accepts.
 """
 
 import tracemalloc
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import walshforge.field as field
 import walshforge.genus2 as genus2
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
-from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all, truth_table
+from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all
 from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
@@ -46,7 +46,8 @@ ODD_SMALL = st.sampled_from([3, 5, 7, 9]).flatmap(g_on)
 
 @pytest.mark.parametrize("m", [3, 4, 5, 9, 17])
 def test_vector_helpers_match_scalar(m):
-    # m = 17 has no log tables: the helpers fall back to a numpy shift-xor product
+    # every helper against the scalar operation it vectorizes; both read the
+    # log tables, which test_tables_match_shift_xor_product checks
     ctx = FieldCtx(m)
     rng = np.random.default_rng(m)
     x = rng.integers(0, ctx.q, 200)
@@ -78,11 +79,26 @@ def test_vector_helpers_match_scalar(m):
 
 def test_tables_built_with_the_context():
     ctx = FieldCtx(9)
-    ctx.ensure_tables()  # idempotent check, nothing left to build
+    ctx.ensure_tables()  # no-op, nothing left to build
     assert all(ctx.mul(a, b) == ctx.mul_raw(a, b) for a in range(0, 512, 37)
                for b in range(0, 512, 41))
     with pytest.raises(ValueError):
-        FieldCtx(17).ensure_tables()
+        FieldCtx(21)  # above field.MAX_M = 20
+
+
+@pytest.mark.parametrize("m", [17, 20])
+def test_tables_match_shift_xor_product(m):
+    ctx = FieldCtx(m)
+    assert np.array_equal(np.sort(ctx._exp[:ctx.q - 1]), np.arange(1, ctx.q))
+    rng = np.random.default_rng(m)
+    x = rng.integers(0, ctx.q, 1000)
+    y = rng.integers(0, ctx.q, 1000)
+    x[:3] = 0
+    y[7] = 0
+    assert ctx.vmul(x, y).tolist() == [ctx.mul_raw(int(a), int(b)) for a, b in zip(x, y)]
+    x = x[:100]  # square-and-multiply in Python costs ~2m products per element
+    for n in (0, 1, 3, 7, 1 << (m - 1), ctx.q - 2, ctx.q - 1, 5 * ctx.q + 3):
+        assert ctx.vpow(x, n).tolist() == [ctx._pow_raw(int(a), n) for a in x]
 
 
 # -- predictor -------------------------------------------------------------------
@@ -213,34 +229,6 @@ def test_c_spelling_disagreement_is_caught(monkeypatch):
     monkeypatch.setattr(ctx, "vfrac_pow", skewed)
     with pytest.raises(AssertionError, match="c-term spellings disagree"):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
-
-
-def table_free(m):
-    """A small field in the state FieldCtx leaves fields above m = 16 in."""
-    ctx = FieldCtx(m)
-    ctx._exp = ctx._log = None
-    ctx.mul, ctx.pow = ctx.mul_raw, ctx._pow_raw
-    return ctx
-
-
-def test_table_free_fields_give_the_same_arrays(monkeypatch):
-    # above m = 16 the vector helpers run the shift-xor product; only the
-    # point count, which walks the log tables, falls back to the scalar oracle
-    g = TracePoly(0x2B, (0x11, 0, 0x5C))
-    bare = table_free(7)
-
-    def results(ctx):
-        a, b, c, d = reduce_difference_all(ctx, g)
-        out = [*vars(classify_all(ctx, g)).values(), a, b, c, d,
-               *vars(classify_curves(ctx, a, b, c)).values(), truth_table(ctx, g),
-               *(ctx.monomial_table(coef, e) for coef, e in [(1, 1), (0x2B, 7), (0x7F, 126)])]
-        return [np.asarray(r).tolist() for r in out], (a, b, c, d)
-
-    batched, curves = results(CTX[7])
-    assert results(bare)[0] == batched
-    counts = count_points_all(CTX[7], *curves).tolist()
-    monkeypatch.setattr(genus2, "TABLE_MAX_M", 0)
-    assert count_points_all(bare, *curves).tolist() == counts
 
 
 # -- auxiliary curve -------------------------------------------------------------
