@@ -61,17 +61,11 @@ def sigma_decomposition(table: XAlphaTable) -> dict:
     reported with the offending alpha.
     """
     q = table.q
-    n0 = n = z = 0
-    for alpha in range(1, q):
-        v = int(table.x[alpha])
-        if v == 0:
-            z += 1
-        elif v == 2 * q:
-            n0 += 1
-        elif v == 8 * q:
-            n += 1
-        else:
-            raise ValueError(
-                f"X_alpha={v} at alpha={alpha:#x} outside {{0, {2*q}, {8*q}}}: "
-                "trichotomy violated (even m, a7 = 0, or implementation bug)")
+    x = table.x[1:]
+    z, n0, n = (int(np.count_nonzero(x == v)) for v in (0, 2 * q, 8 * q))
+    if z + n0 + n < q - 1:
+        alpha = 1 + int(np.flatnonzero((x != 0) & (x != 2 * q) & (x != 8 * q))[0])
+        raise ValueError(
+            f"X_alpha={int(x[alpha - 1])} at alpha={alpha:#x} outside {{0, {2*q}, {8*q}}}: "
+            "trichotomy violated (even m, a7 = 0, or implementation bug)")
     return {"N0": n0, "N": n, "Z": z}

@@ -27,7 +27,8 @@ equalities Tr(f) = Tr(eta*v^3), Tr(g) = Tr(eta*(v^2+v)) are themselves
 testable rather than assumed.
 
 ``s7_sum``, ``enumerate_points`` and ``count_n123`` are whole-field array
-passes over every x (or every point) at once.
+passes over every x (or every point) at once; the points are one (n, 2)
+int64 array of fibre pairs (x, v), (x, v+1), so eta is evaluated once per x.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .report import Check, slack_bound
 @dataclass
 class AuxCurvePoints:
     gamma: int
-    points: list[tuple[int, int]]  # (x, v), x != 0
+    points: np.ndarray             # (n, 2) int64 rows (x, v), (x, v^1); x != 0
     count_total: int               # #C(k), including (0,0), (0,1), infinity
 
 
@@ -62,14 +63,9 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
     if ctx.m % 2 == 0:
         raise ValueError("point enumeration requires odd m")
     x = np.arange(1, ctx.q, dtype=np.int64)
-    w, on_curve = ctx.vsolve_artin_schreier(ctx.vmul(gamma, ctx.vpow(x, 7)))
-    w ^= ctx.vtrace(w)  # kernel of v^2+v is {0,1}; exactly one root has trace 0
-    v, has_v = ctx.vsolve_artin_schreier(w)
-    lost = on_curve & ~has_v
-    if np.count_nonzero(lost):
-        raise AssertionError(f"trace-0 root vanished at x={int(x[lost][0]):#x}")
-    xs, vs = x[on_curve].tolist(), v[on_curve].tolist()
-    pts = [pt for xk, vk in zip(xs, vs) for pt in ((xk, vk), (xk, vk ^ 1))]
+    v, on_curve = ctx.vsolve_quartic(ctx.vmul(gamma, ctx.vpow(x, 7)))
+    x, v = x[on_curve], v[on_curve]
+    pts = np.stack([x, v, x, v ^ 1], axis=1).reshape(-1, 2)
     return AuxCurvePoints(gamma=gamma, points=pts, count_total=len(pts) + 3)
 
 
@@ -103,8 +99,8 @@ def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints) -> dict:
     """Trace-condition counts over the enumerated points, bound checks, and
     the inclusion-exclusion reassembly of N."""
     q = ctx.q
-    x, v = np.array(pts.points, dtype=np.int64).reshape(-1, 2).T
-    eta = eta_all(ctx, g, ctx.vpow(x, q - 1 - 3))  # alpha = x^(-3)
+    x, v = pts.points.T
+    eta = np.repeat(eta_all(ctx, g, ctx.vpow(x[::2], q - 1 - 3)), 2)  # alpha = x^(-3)
     t1 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
     t2 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v))
     n1, n2 = int(np.count_nonzero(t1)), int(np.count_nonzero(t2))

@@ -139,5 +139,5 @@ def tracepoly_from_json(text: str) -> TracePoly:
         if any(i < 0 or i > s for i in bmap):
             raise ValueError(f"b index outside 0..s={s}")
         return TracePoly(a7, tuple(bmap.get(i, 0) for i in range(s + 1)))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed G JSON: {exc}") from exc

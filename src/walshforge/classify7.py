@@ -137,13 +137,7 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
     # on the lambda_zero fibre this is the cube root of 1, so ell = 1 there as
     # well, and Tr(1) = 1 (odd m) sends those shifts to the 2q branch below
     ell = ctx.vfrac_pow(ctx.vmul(inv_a7, ctx.vpow(alpha, -7)), 1, 3)
-    u, split = ctx.vsolve_artin_schreier(ell)  # split: Tr(ell) = 0
-    u ^= ctx.vtrace(u)  # pick the trace-0 root
-    v, has_v = ctx.vsolve_artin_schreier(u)
-    lost = split & ~has_v
-    if np.count_nonzero(lost):
-        raise AssertionError(
-            f"no root of v^2+v=u despite Tr(u)=0, alpha={int(alpha[lost][0]):#x}")
+    v, split = ctx.vsolve_quartic(ell)  # split: Tr(ell) = 0
     hit = (ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
            & ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v)))
     predicted = np.where(split, hit * (8 * q), 2 * q)

@@ -33,7 +33,7 @@ from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
 from .field import MAX_M, FieldCtx
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
-from .spectrum import divisibility_check, fwht, l4_fourth, linf, nonlinearity, parseval_sum
+from .spectrum import fwht, l4_fourth, linf, nonlinearity, parseval_sum
 from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
                         classify_all, count_n0_n)
@@ -144,7 +144,7 @@ def _spectrum_section(ctx, g, spec, bounds: bool):
     row = {"linf": lv, "nl": nonlinearity(spec), "sigma4_spectrum": sigma}
     checks = [compare("parseval", parseval_sum(spec), "==", ctx.q * ctx.q)]
     if bounds:
-        divisor = divisibility_check(spec, 3)["divisor"]
+        divisor = 1 << -(-ctx.m // 3)  # 2^ceil(m/d) for binary degree d = 3
         checks.append(compare("walsh_divisibility", lv % divisor, "==", 0,
                               note=f"divisor {divisor}"))
         checks += _bound_checks(ctx, g, lv, sigma)
@@ -387,8 +387,11 @@ def _emit(report: Report, args, elapsed_ms: float) -> None:
             w.writerow([c.name, c.lhs, c.rhs, c.relation, c.passed, c.hard, c.note])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
         verdict = "PASS" if report.hard_pass() else "FAIL"
         print(f"{report.config['cmd']}: {verdict} "
               f"(checks={len(report.checks)}, hash={report.determinism_hash()})")
@@ -462,10 +465,10 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report = args.func(args)
+        _emit(report, args, (time.monotonic() - start) * 1000.0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args, (time.monotonic() - start) * 1000.0)
     return 0 if report.hard_pass() else 1
 
 

@@ -9,9 +9,9 @@ Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
 helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vhalf_trace``,
-``vsolve_artin_schreier``, ``trace_bits``, ``monomial_table``), which act
-elementwise on int64 arrays of elements.  Tests cross-check the tables
-against the shift-xor product ``mul_raw``.
+``vsolve_artin_schreier``, ``vsolve_quartic``, ``trace_bits``,
+``monomial_table``), which act elementwise on int64 arrays of elements.
+Tests cross-check the tables against the shift-xor product ``mul_raw``.
 """
 
 from __future__ import annotations
@@ -330,6 +330,18 @@ class FieldCtx:
         if np.count_nonzero(bad):
             raise AssertionError(f"half-trace failed for c={int(c[bad][0]):#x}")
         return u, has_root
+
+    def vsolve_quartic(self, c) -> tuple[np.ndarray, np.ndarray]:
+        """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  Solves
+        u^2 + u = c, keeps the root u of trace 0, then solves v^2 + v = u."""
+        c = np.asarray(c, dtype=np.int64)
+        u, has_root = self.vsolve_artin_schreier(c)
+        u ^= self.vtrace(u)  # the roots are u and u + 1, and Tr(1) = 1 for odd m
+        v, has_v = self.vsolve_artin_schreier(u)
+        lost = has_root & ~has_v
+        if np.count_nonzero(lost):
+            raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={int(c[lost][0]):#x}")
+        return v, has_root
 
     def trace_zero_counts(self, coefs: list[np.ndarray], exps: list[int],
                           consts: np.ndarray) -> np.ndarray:

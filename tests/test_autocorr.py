@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from walshforge.autocorr import (sigma_autocorr, sigma_decomposition, x_alpha, x_alpha_all,
@@ -47,14 +49,17 @@ def test_decomposition_identity(ctx7):
     table = x_alpha_all(ctx7, g)
     d = sigma_decomposition(table)
     q = ctx7.q
+    hist = Counter(table.x[1:].tolist())
+    assert d == {"N0": hist[2 * q], "N": hist[8 * q], "Z": hist[0]}
     assert d["N0"] + d["N"] + d["Z"] == q - 1
     assert q * q + 2 * q * d["N0"] + 8 * q * d["N"] == sigma_autocorr(table)
 
 
 def test_decomposition_rejects_off_lattice_values(ctx5):
     table = x_alpha_all(ctx5, TracePoly(a7=1))
-    table.x[3] = 5  # corrupt one entry
-    with pytest.raises(ValueError, match="alpha=0x3"):
+    table.x[3] = 5  # corrupt two entries: the first one is named
+    table.x[9] = 7
+    with pytest.raises(ValueError, match="X_alpha=5 at alpha=0x3 "):
         sigma_decomposition(table)
 
 

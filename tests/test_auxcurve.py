@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from walshforge.auxcurve import (count_n123, enumerate_points, f_on_curve,
@@ -51,8 +52,11 @@ def test_count_identity_random_gamma(m):
 def test_points_satisfy_equation_and_pair(ctx7):
     gamma = 3
     pts = enumerate_points(ctx7, gamma)
-    seen = set(pts.points)
-    for x, v in pts.points:
+    assert pts.points.dtype == np.int64 and pts.points.shape == (len(pts.points), 2)
+    rows = [tuple(p) for p in pts.points.tolist()]
+    seen = set(rows)
+    assert len(seen) == len(rows)
+    for x, v in rows:
         assert x != 0
         lhs = ctx7.add(ctx7.pow(v, 4), v)
         assert lhs == ctx7.mul(gamma, ctx7.pow(x, 7))
@@ -65,7 +69,7 @@ def test_trace_identities_on_points(ctx7):
     point counts on one curve bound the shift statistics."""
     g = TracePoly(a7=3, b=(0, 6, 2))
     gamma = gamma_of(ctx7, g)
-    for x, v in enumerate_points(ctx7, gamma).points:
+    for x, v in enumerate_points(ctx7, gamma).points.tolist():
         alpha = ctx7.pow(ctx7.inv(x), 3)
         eta = eta_of_alpha(ctx7, g, alpha)
         t1 = ctx7.trace(ctx7.mul(eta, ctx7.pow(v, 3)))

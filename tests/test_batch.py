@@ -77,6 +77,34 @@ def test_vector_helpers_match_scalar(m):
             ctx.vhalf_trace(x)
 
 
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_vsolve_quartic_exhaustive(m):
+    # for odd m, v^4 + v = c has a root exactly when Tr(c) = 0
+    ctx = CTX[m]
+    v, has_root = ctx.vsolve_quartic(np.arange(ctx.q))
+    for c, vc, ok in zip(range(ctx.q), v.tolist(), has_root.tolist()):
+        assert ok == (ctx.trace(c) == 0)
+        if ok:
+            assert ctx.pow(vc, 4) ^ vc == c
+        else:
+            assert vc == 0
+
+
+def test_vsolve_quartic_names_the_first_lost_root():
+    ctx = FieldCtx(5)
+    real = ctx.vsolve_artin_schreier
+    calls = []
+
+    def second_step_fails(c):  # u^2 + u = c solves; v^2 + v = u finds nothing
+        u, has_root = real(c)
+        calls.append(c)
+        return u, has_root & (len(calls) == 1)
+
+    ctx.vsolve_artin_schreier = second_step_fails
+    with pytest.raises(AssertionError, match=r"c=0x0$"):
+        ctx.vsolve_quartic(np.arange(ctx.q))
+
+
 def test_tables_built_with_the_context():
     ctx = FieldCtx(9)
     ctx.ensure_tables()  # no-op, nothing left to build
@@ -213,9 +241,15 @@ def test_batch_temporaries_stay_small():
         classify_curves(ctx, a, b, c)
         count_points_all(ctx, a, b, c, d)
         peak = tracemalloc.get_traced_memory()[1]
+        base = tracemalloc.get_traced_memory()[0]
+        pts = enumerate_points(ctx, 0x2b)
+        retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # the points are one int64 array: 16 bytes per point, plus a header
+    assert len(pts.points) > ctx.q // 2
+    assert retained <= 24 * len(pts.points)
 
 
 def test_c_spelling_disagreement_is_caught(monkeypatch):
@@ -263,8 +297,9 @@ def test_aux_curve_passes_match_scalar(mg):
     ctx = CTX[m]
     gamma = gamma_of(ctx, g)
     pts = enumerate_points(ctx, gamma)
-    assert pts.points == scalar_points(ctx, gamma)  # (x, v), (x, v^1) order kept
+    rows = [tuple(p) for p in pts.points.tolist()]
+    assert rows == scalar_points(ctx, gamma)  # (x, v), (x, v^1) order kept
     assert s7_sum(ctx, gamma) == sum(1 - 2 * ctx.trace(ctx.mul(gamma, ctx.pow(x, 7)))
                                      for x in range(ctx.q))
     res = count_n123(ctx, g, pts)
-    assert (res["N1"], res["N2"], res["N3"]) == scalar_n123(ctx, g, pts.points)
+    assert (res["N1"], res["N2"], res["N3"]) == scalar_n123(ctx, g, rows)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshforge.cli import main
 
@@ -262,6 +265,58 @@ def test_curve_a_zero_exits_2(capsys):
     code, out, err = run(capsys, "curve", "--m", "5", "--curve",
                          '{"a":"0x0","b":"0x1","c":"0x0","d":"0x0"}')
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--m", "5", "--g", '{"a7":"0x3","b":[1]}'],
+    ["analyze", "--m", "5", "--g", '{"a7":"0x3","s":1e999}'],
+    ["analyze", "--m", "5", "--g", '{"b":{"0":"0x3"}}'],
+    ["curve", "--m", "5", "--curve", '{"a":"0x1","b":"0x1","c":"0x0"}'],
+    ["analyze", "--m", "5", "--g", '{"a7":"0x3"}', "--out", "{missing}/r.json"],
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON values of every type; coefficients are hex strings (some negative, some
+# outside the field) about half the time, so that inputs also reach the checks
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=4)
+COEF = st.sampled_from(["0x1", "0x3", "0x5", "0x1f", "0x25", "0x7f", "0x1ff", "0x0", "-0x3",
+                        "zz", "", None, 7, 1.5, [], ["0x3"], {}, {"0": "0x3"}])
+G_JSON = st.fixed_dictionaries({"a7": COEF}, optional={
+    "b": st.dictionaries(st.integers(-1, 8).map(str) | st.text(max_size=2), COEF,
+                         max_size=3) | JSON_VALUES,
+    "s": st.integers(-1, 8) | JSON_VALUES,
+    "x": JSON_VALUES})
+CURVE_JSON = st.fixed_dictionaries({k: COEF for k in "abcd"}, optional={"x": JSON_VALUES})
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(2, 7), cmd=st.sampled_from(["analyze", "curve"]),
+       g=G_JSON, curve=CURVE_JSON, missing_out=st.booleans())
+def test_generated_inputs_never_raise(tmp_path_factory, m, cmd, g, curve, missing_out):
+    argv = [cmd, "--m", str(m)]
+    argv += (["--checks", "spectrum", "--g", json.dumps(g)] if cmd == "analyze"
+             else ["--curve", json.dumps(curve)])
+    if missing_out:
+        argv += ["--out", str(tmp_path_factory.getbasetemp() / "missing" / "r.json")]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_curve_malformed_json_exits_2(capsys):
