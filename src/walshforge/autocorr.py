@@ -1,9 +1,16 @@
 """Directional autocorrelation sums X_alpha — the second route to sigma4.
 
-X_alpha = (sum_x (-1)^(Tr(G(x) + G(x+alpha))))^2.  The sums here are computed
-by direct gather over the truth table, never through the Walsh transform, so
-that q^2 + sum_alpha X_alpha = l4_fourth(fwht(table)) stays a genuine
-cross-check between two independent computation paths.
+X_alpha = (sum_x (-1)^(Tr(G(x) + G(x+alpha))))^2.  The sums here are direct
+counts over the truth table, never through the Walsh transform, so that
+q^2 + sum_alpha X_alpha = l4_fourth(fwht(table)) stays a genuine cross-check
+between two independent computation paths.
+
+``x_alpha_all`` counts the mismatches of f(x) and f(x + alpha) for every
+alpha on the truth table packed 64 x to a uint64 word.  With
+alpha = 64*hi + lo, x -> x + alpha moves word j to word j ^ hi and permutes
+the bits inside a word by k -> k ^ lo, so one table of the 64 in-word
+permutations of the packed truth table (q words in all) turns every alpha
+into an XOR and popcount over q/64 words.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import TracePoly, truth_table
-from .field import FieldCtx
+from .field import BATCH, FieldCtx, pack_bits, popcount
 
-X_ALPHA_MAX_M = 16  # the full table costs q^2 byte gathers
+X_ALPHA_MAX_M = 17  # the full table costs q^2 / 64 word XOR-and-popcounts
 
 
 @dataclass
@@ -37,15 +44,28 @@ def x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
 
 
 def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> XAlphaTable:
-    """Full table over alpha != 0; O(q^2) gathers."""
+    """Full table over alpha != 0; O(q^2 / 64) word operations."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     bits = truth_table(ctx, g)
     q = ctx.q
+    lanes = min(q, 64)  # fields with q < 64 fill one partial word
     idx = np.arange(q)
-    signed = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        signed[a] = q - 2 * int((bits ^ bits[idx ^ a]).sum())
+    words = pack_bits(bits)
+    perm = np.stack([pack_bits(bits[idx ^ lo]) for lo in range(lanes)])  # perm[lo] packs f(x+lo)
+    # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for alpha = 64*hi + lo,
+    # in blocks of (hi, lo, j) of at most BATCH words
+    n_words = len(words)
+    w = np.arange(n_words)
+    lo_step = max(1, min(lanes, BATCH // n_words))
+    hi_step = max(1, BATCH // (lo_step * n_words))
+    mism = np.empty((n_words, lanes), dtype=np.int64)
+    for hi in range(0, n_words, hi_step):
+        moved = words[w[hi:hi + hi_step, None] ^ w][:, None, :]
+        for lo in range(0, lanes, lo_step):
+            mism[hi:hi + hi_step, lo:lo + lo_step] = popcount(moved ^ perm[lo:lo + lo_step])
+    signed = q - 2 * mism.ravel()
+    signed[0] = 0
     return XAlphaTable(q=q, x=signed * signed)
 
 

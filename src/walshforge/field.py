@@ -8,10 +8,15 @@ immutable after construction and safe to share across workers.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vhalf_trace``,
-``vsolve_artin_schreier``, ``vsolve_quartic``, ``trace_bits``,
-``monomial_table``), which act elementwise on int64 arrays of elements.
-Tests cross-check the tables against the shift-xor product ``mul_raw``.
+helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vexp``,
+``vhalf_trace``, ``vsolve_artin_schreier``, ``vsolve_quartic``,
+``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays of
+elements.  Tests cross-check the tables against the shift-xor product
+``mul_raw``.
+
+The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
+count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
+``popcount`` counts their set bits.
 """
 
 from __future__ import annotations
@@ -26,6 +31,22 @@ import numpy as np
 # figures), and the Parseval sum is exact in int64 through m = 20.
 MAX_M = 20
 BATCH = 8192  # elements in any 2-D temporary of a batched whole-field pass
+
+
+def pack_bits(bits) -> np.ndarray:
+    """0/1 values along the last axis packed into uint64 words: bit k of word
+    j is ``bits[..., 64*j + k]``, and a partial last word is zero-padded."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros((*packed.shape[:-1], pad), dtype=np.uint8)], axis=-1)
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Number of set bits in each row of uint64 words (the last axis)."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +133,8 @@ class FieldCtx:
             raise ValueError(f"m={m} out of supported range [2, {MAX_M}]")
         if modulus is None:
             modulus = default_modulus(m)
+        if modulus <= 0:  # the GF(2)[x] arithmetic never ends on a negative int
+            raise ValueError(f"modulus {modulus:#x} is not a positive bitmask")
         if modulus.bit_length() != m + 1:
             raise ValueError(f"modulus {modulus:#x} does not have degree {m}")
         if not is_irreducible(modulus):
@@ -306,6 +329,17 @@ class FieldCtx:
             raise ZeroDivisionError("0 cannot be raised to a negative power")
         return np.where(x == 0, int(num == 0), self.vpow(x, e))
 
+    def vlog(self, x) -> np.ndarray:
+        """Discrete logs, in [0, q-1), of nonzero x to the table generator."""
+        x = np.asarray(x, dtype=np.int64)
+        if np.count_nonzero(x == 0):
+            raise ValueError("0 has no discrete logarithm")
+        return self._log[x]
+
+    def vexp(self, n) -> np.ndarray:
+        """The table generator raised to the integer powers n."""
+        return self._exp[np.asarray(n, dtype=np.int64) % (self.q - 1)]
+
     @cached_property
     def _half_trace_basis(self) -> list[int]:
         return [self.half_trace(1 << j) for j in range(self.m)]
@@ -342,33 +376,6 @@ class FieldCtx:
         if np.count_nonzero(lost):
             raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={int(c[lost][0]):#x}")
         return v, has_root
-
-    def trace_zero_counts(self, coefs: list[np.ndarray], exps: list[int],
-                          consts: np.ndarray) -> np.ndarray:
-        """For each k: #{x : Tr(sum_j coefs[j][k] * x^exps[j] + consts[k]) = 0},
-        by evaluating every x.
-
-        x runs over powers g^i of the table generator, so x^e has log e*i and
-        Tr(coef * x^e) is one lookup in a trace table indexed by logs.  Work
-        goes in row-by-column blocks of at most ``BATCH`` elements.
-        """
-        n = self.q - 1
-        # Tr(g^i) for i < 2n, then zeros: log 2n stands for a zero coefficient
-        tr = np.concatenate([self.trace_bits(self._exp), np.zeros(n, dtype=np.uint8)])
-        i = np.arange(n, dtype=np.int64)
-        x_logs = [(e * i) % n for e in exps]
-        c_logs = [np.where(c == 0, 2 * n, self._log[c]) for c in coefs]
-        t_const = self.trace_bits(consts)
-        ones = np.zeros(len(t_const), dtype=np.int64)  # x != 0 with the sum's trace 1
-        rows, cols = max(1, BATCH // n), min(n, BATCH)
-        for r in range(0, len(ones), rows):
-            for c in range(0, n, cols):
-                acc = np.zeros((min(rows, len(ones) - r), min(cols, n - c)), dtype=np.uint8)
-                for lc, lx in zip(c_logs, x_logs):
-                    acc ^= tr[lc[r:r + rows, None] + lx[None, c:c + cols]]
-                ones[r:r + rows] += acc.sum(axis=1, dtype=np.int64)
-        # x = 0 contributes Tr(const); a trace-1 constant flips every other x
-        return np.where(t_const == 0, n - ones + 1, ones)
 
     def monomial_table(self, coef: int, e: int) -> np.ndarray:
         """Array over all x in [0,q) of coef * x^e  (e >= 1)."""

@@ -15,6 +15,10 @@ ell = (1 + z^-4)^(1/3) at a root z of P.
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
 oracles (``count_points`` also counts the one curve of ``walshforge curve``).
+``count_points_all`` still counts every x, but 64 x to a uint64 word: over
+x = g^i the trace of each monomial is a cyclic shift of a decimated
+m-sequence, so a curve's row of traces is an XOR of three packed word
+slices, counted by popcount.  It never calls the radical classifier.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import BATCH, FieldCtx
+from .field import BATCH, FieldCtx, pack_bits, popcount
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,50 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
 def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                      d: np.ndarray) -> np.ndarray:
     """:func:`count_points` for the curves (a[k], b[k], c[k], d[k]) at once,
-    by direct enumeration of every x."""
-    return 2 * ctx.trace_zero_counts([a, b, c], [5, 3, 1], d) + 1
+    by direct enumeration of every x.
+
+    Write x = g^i (i < q - 1) for the table generator g.  With l = log(coef)
+    and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
+    u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
+    e*shift = l - r (mod q - 1).  Each of these sequences is packed at all 64
+    bit offsets, so the row of a term over all x != 0 is one word slice, and
+    a curve's row is the XOR of three slices.  The rows are gathered for
+    blocks of curves of at most ``BATCH`` words and counted by popcount.  The
+    offset tables hold 2 * 64 words per 64 x for each sequence, 8 MB at
+    m = 17.
+    """
+    n = ctx.q - 1
+    n_words = -(-n // 64)
+    width = 2 * n_words - 1  # words in one offset table: room for a shift of up to n - 1
+    i = np.arange(64 * (width + 1), dtype=np.int64)
+    seqs = [np.zeros(len(i), dtype=np.uint8)]  # sequence 0: the row of a zero coefficient
+    starts = []  # first word of each curve's a, b and c row in the flat tables
+    for coef, e in ((a, 5), (b, 3), (c, 1)):
+        k = math.gcd(e, n)
+        logs = ctx.vlog(np.where(coef == 0, 1, coef))
+        shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
+        seq = np.where(coef == 0, 0, len(seqs) + logs % k)
+        starts.append((seq * 64 + shift % 64) * width + shift // 64)
+        seqs += [ctx.trace_bits(ctx.vexp(r + e * i)) for r in range(k)]
+    first = pack_bits(np.stack(seqs))
+    tables = np.empty((len(seqs), 64, width), dtype=np.uint64)
+    for o in range(64):  # word j at offset o holds bits o .. o+63 of words j, j+1 at offset 0
+        tables[:, o] = ((first[:, :-1] >> np.uint64(o))
+                        | (first[:, 1:] << np.uint64(1) << np.uint64(63 - o)))
+    # slices[s] is the n_words-word slice starting at word s of the flat tables
+    slices = np.lib.stride_tricks.sliding_window_view(tables.reshape(-1), n_words)
+    last = np.uint64((1 << (n % 64)) - 1)  # bits past i = q - 2 are padding
+    ones = np.empty(len(a), dtype=np.int64)  # x != 0 with Tr(a x^5 + b x^3 + c x) = 1
+    step = max(1, BATCH // n_words)
+    for lo in range(0, len(a), step):
+        rows = slices[starts[0][lo:lo + step]]
+        for s in starts[1:]:
+            rows ^= slices[s[lo:lo + step]]
+        rows[:, -1] &= last
+        ones[lo:lo + step] = popcount(rows)
+    # x = 0 contributes Tr(d); a trace-1 d flips every other x
+    zeros = np.where(ctx.trace_bits(d) == 0, n - ones + 1, ones)
+    return 2 * zeros + 1
 
 
 def normalize_ab(ctx: FieldCtx, curve: QuinticCurve) -> tuple[QuinticCurve, int]:

@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walshforge.autocorr as autocorr
 import walshforge.field as field
 import walshforge.genus2 as genus2
+from walshforge.autocorr import x_alpha_all, x_alpha_from_bits
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
-from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all
+from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all, truth_table
 from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
                                count_points_all)
 
-CTX = {m: FieldCtx(m) for m in (3, 4, 5, 6, 7, 9, 11)}
+CTX = {m: FieldCtx(m) for m in range(3, 12)}
 SLOW = settings(max_examples=12, deadline=None)
 
 
@@ -59,6 +61,12 @@ def test_vector_helpers_match_scalar(m):
         assert ctx.vpow(x, n).tolist() == [ctx.pow(int(a), n) for a in x]
     nz = x[x != 0]
     assert ctx.vpow(nz, -7).tolist() == [ctx.pow(int(a), -7) for a in nz]
+    logs = ctx.vlog(nz)
+    assert logs.min() >= 0 and logs.max() < ctx.q - 1
+    assert ctx.vexp(logs).tolist() == nz.tolist()
+    assert ctx.vexp(logs + 3 * (ctx.q - 1)).tolist() == nz.tolist()
+    with pytest.raises(ValueError, match="no discrete logarithm"):
+        ctx.vlog(x)
     with pytest.raises(ZeroDivisionError):
         ctx.vpow(x, -1)
     for num, den in ((1, 4), (7, 4), (5, 2), (3, 1), (0, 2)):
@@ -75,6 +83,17 @@ def test_vector_helpers_match_scalar(m):
     else:
         with pytest.raises(ValueError):
             ctx.vhalf_trace(x)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
+def test_pack_bits_and_popcount(n):
+    bits = np.random.default_rng(n).integers(0, 2, (3, n)).astype(np.uint8)
+    words = field.pack_bits(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, -(-n // 64))
+    for row, packed in zip(bits.tolist(), words.tolist()):
+        assert packed == [sum(b << k for k, b in enumerate(row[j:j + 64]))
+                          for j in range(0, n, 64)]
+    assert field.popcount(words).tolist() == bits.sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("m", [5, 7, 9])
@@ -219,13 +238,17 @@ def test_curve_arrays_match_scalar_on_arbitrary_curves(mcs):
 
 
 def test_count_blocks_split_the_x_range(monkeypatch):
-    # with a cap below q - 1 each curve is counted in several column blocks
+    # with a cap below the q words of one X_alpha block the in-word shifts
+    # split too, and the curves are counted a few rows at a time
     ctx = CTX[7]
     g = TracePoly(5, (3, 0, 9))
     a, b, c, d = reduce_difference_all(ctx, g)
     full, curves = count_points_all(ctx, a, b, c, d), classify_curves(ctx, a, b, c)
+    table = x_alpha_all(ctx, g)
     monkeypatch.setattr(field, "BATCH", 50)
     monkeypatch.setattr(genus2, "BATCH", 50)
+    monkeypatch.setattr(autocorr, "BATCH", 50)
+    assert x_alpha_all(ctx, g).x.tolist() == table.x.tolist()
     assert count_points_all(ctx, a, b, c, d).tolist() == full.tolist()
     blocked = classify_curves(ctx, a, b, c)
     assert blocked.w.tolist() == curves.w.tolist()
@@ -252,6 +275,18 @@ def test_batch_temporaries_stay_small():
     assert retained <= 24 * len(pts.points)
 
 
+def test_x_alpha_temporaries_stay_small():
+    # one (q, q) gather at m = 13 would be 64 MB even as uint8
+    ctx = FieldCtx(13)
+    tracemalloc.start()
+    try:
+        x_alpha_all(ctx, TracePoly(0x155, (3, 0, 9)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_c_spelling_disagreement_is_caught(monkeypatch):
     ctx = CTX[7]
     real = ctx.vfrac_pow
@@ -263,6 +298,45 @@ def test_c_spelling_disagreement_is_caught(monkeypatch):
     monkeypatch.setattr(ctx, "vfrac_pow", skewed)
     with pytest.raises(AssertionError, match="c-term spellings disagree"):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
+
+
+# -- packed popcount kernels -----------------------------------------------------
+
+# Each field the packed passes branch on: q < 64 fills one partial word
+# (m <= 5); q - 1 is odd, so the last word of a curve row is always partial,
+# and at m = 6 it is the only word; where 3 or 5 divides q - 1 (even m) the
+# x^3 or x^5 term reads gcd(e, q - 1) decimated trace sequences, and m = 4
+# and m = 8 have both.
+PACKED_M = [pytest.param(m, id=f"m{m}-{tag}") for m, tag in (
+    (3, "q-below-64-partial-word"), (4, "q-below-64-partial-word-gcd3-gcd5"),
+    (5, "q-below-64-partial-word"), (6, "partial-last-word-gcd3"), (7, "two-words"),
+    (8, "even-gcd3-gcd5"), (9, "odd"), (10, "even-gcd3"), (11, "odd"))]
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_packed_x_alpha_matches_scalar_on_every_alpha(m, data):
+    ctx = CTX[m]
+    g = data.draw(tracepolys(m))
+    bits = truth_table(ctx, g)
+    table = x_alpha_all(ctx, g)
+    assert table.x[0] == 0
+    assert table.x[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
+
+
+@pytest.mark.parametrize("m", PACKED_M)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_packed_counts_match_scalar_on_arbitrary_curves(m, data):
+    q = 1 << m
+    el = st.integers(0, q - 1)
+    coef = st.just(0) | el  # zero b and c rows are common
+    cs = data.draw(st.lists(st.tuples(st.integers(1, q - 1), coef, coef, el),
+                            min_size=1, max_size=30))
+    a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*cs))
+    counts = count_points_all(CTX[m], a, b, c, d)
+    assert counts.tolist() == [count_points(CTX[m], QuinticCurve(*cf)) for cf in cs]
 
 
 # -- auxiliary curve -------------------------------------------------------------

@@ -208,15 +208,17 @@ def test_report_hashes_pinned(capsys, argv, digest):
     assert doc["determinism_hash"] == digest
 
 
+# m = 18 is the first size above the limit; the odd-only autocorr and verify
+# reject it for its parity first, so they are refused at m = 19
 @pytest.mark.parametrize("argv", [
-    ("analyze", "--m", "17", "--slow", "--checks", "autocorr", "--g", '{"a7":"0x1"}'),
-    ("analyze", "--m", "17", "--slow", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
-    ("analyze", "--m", "17", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x1"}'),
-    ("verify", "--m", "17", "--slow", "--count", "1"),
+    ("analyze", "--m", "19", "--slow", "--checks", "autocorr", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "18", "--slow", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "19", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x1"}'),
+    ("verify", "--m", "19", "--slow", "--count", "1"),
 ])
 def test_x_alpha_table_size_refused_up_front(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and "m <= 16" in err and not out
+    assert code == 2 and "m <= 17" in err and not out
 
 
 LIMITED = """
@@ -360,6 +362,18 @@ def test_custom_modulus(capsys):
     # structural invariants agree across representations
     assert doc1["summary"]["nl"] == doc2["summary"]["nl"]
     assert doc1["summary"]["sigma4_spectrum"] == doc2["summary"]["sigma4_spectrum"]
+
+
+def test_negative_modulus_exits_2_without_hanging():
+    # in a subprocess with a timeout, so a hang fails the test instead of CI
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run([sys.executable, "-m", "walshforge.cli", "analyze", "--m", "5",
+                           "--modulus=-0x25", "--g", '{"a7":"0x3"}', "--checks", "spectrum"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "positive" in proc.stderr and not proc.stdout
 
 
 def test_bad_modulus_exits_2(capsys):
