@@ -49,12 +49,13 @@ def eval_g(ctx: FieldCtx, g: TracePoly, x: int) -> int:
 
 
 def truth_table(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
-    """bits[x] = Tr(G(x)) over all x in [0, q), as uint8."""
-    vals = ctx.monomial_table(g.a7, 7)
+    """bits[x] = Tr(G(x)) over all x in [0, q), as uint8: Tr is GF(2)-linear,
+    so the XOR of the monomials' trace bits."""
+    bits = ctx.monomial_trace(g.a7, 7)
     for i, bi in enumerate(g.b):
         if bi:
-            vals = vals ^ ctx.monomial_table(bi, (1 << i) + 1)
-    return ctx.trace_bits(vals)
+            bits ^= ctx.monomial_trace(bi, (1 << i) + 1)
+    return bits
 
 
 def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:

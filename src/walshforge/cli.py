@@ -43,7 +43,7 @@ from .report import Check, Report, compare
 
 ALL_CHECKS = ("spectrum", "autocorr", "predictor", "bounds", "auxcurve", "genus2")
 ODD_ONLY_CHECKS = ("autocorr", "predictor", "auxcurve")
-SLOW_M = 13
+SLOW_M = 16  # the X_alpha commands take over ~1 s from here (README gives figures)
 SCHEMA = "walsh-forge/1"
 
 

@@ -3,7 +3,8 @@
 An element is an integer in [0, 2^m) read as a polynomial over GF(2) in the
 power basis, reduced modulo an explicit degree-m irreducible ``modulus``
 bitmask.  Everything here is deterministic and pure; a :class:`FieldCtx` is
-immutable after construction and safe to share across workers.
+immutable after construction, apart from caches of values fixed by
+(m, modulus), and safe to share across workers.
 
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
@@ -13,6 +14,14 @@ helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vexp``,
 ``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays of
 elements.  Tests cross-check the tables against the shift-xor product
 ``mul_raw``.
+
+Truth tables take a shorter path: ``monomial_trace(coef, e)`` gives the bits
+``Tr(coef * x^e)`` for every x with one gather from the trace table
+``Tr(g^n)``, n in [0, 2(q-1)), offset by ``log(coef)``, at the index array
+``e*log(x) mod (q-1)``.  The trace table is built on first use and each int32
+index array the first time its exponent is used (4 MB per exponent at
+m = 20); both stay cached on the context.  ``monomial_table`` and
+``trace_bits`` are its test oracle.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -156,6 +165,7 @@ class FieldCtx:
             mask |= t << i
         self._trace_mask = mask
         self._build_tables()
+        self._log_multiples: dict[int, np.ndarray] = {}  # e -> e*log(x) mod (q-1)
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -388,6 +398,35 @@ class FieldCtx:
         out = np.zeros(q, dtype=np.int64)
         out[1:] = self._exp[(int(self._log[coef]) + e * self._log[1:]) % (q - 1)]
         return out
+
+    @cached_property
+    def _exp_trace(self) -> np.ndarray:
+        """Tr(g^n) as uint8 for n in [0, 2(q-1)): the traces of the doubled
+        antilog table, so an offset index below 2(q-1) needs no reduction."""
+        half = self.trace_bits(self._exp[:self.q - 1])
+        return np.concatenate([half, half])
+
+    def _log_multiple(self, e: int) -> np.ndarray:
+        """int32 e*log(x) mod (q-1) for x in [0, q), built the first time e is
+        used; entry 0 (x = 0 has no log) is a meaningless index in range."""
+        idx = self._log_multiples.get(e)
+        if idx is None:
+            n = self.q - 1
+            idx = self._log * (e % n)
+            idx %= n
+            idx = self._log_multiples[e] = idx.astype(np.int32)
+        return idx
+
+    def monomial_trace(self, coef: int, e: int) -> np.ndarray:
+        """uint8 bits Tr(coef * x^e) over all x in [0, q)  (e >= 1): one gather
+        from the trace table, offset by log(coef), at e*log(x) mod (q-1)."""
+        if e < 1:
+            raise ValueError("monomial exponent must be >= 1")
+        if coef == 0:
+            return np.zeros(self.q, dtype=np.uint8)
+        bits = np.take(self._exp_trace[int(self._log[coef]):], self._log_multiple(e))
+        bits[0] = 0  # 0^e = 0
+        return bits
 
     def vtrace(self, vals) -> np.ndarray:
         """Vector trace: parity of popcount(v & trace_mask), as int64 0/1."""

@@ -20,28 +20,50 @@ import numpy as np
 @dataclass(frozen=True)
 class WalshSpectrum:
     m: int
-    values: np.ndarray  # q signed integers
+    values: np.ndarray  # q signed integers, int32 (|value| <= q <= 2^20)
 
     @property
     def q(self) -> int:
         return 1 << self.m
 
 
+def _row_butterflies(a: np.ndarray) -> None:
+    """Walsh butterflies, in place, over the row-index bits of a C-contiguous
+    2-D array: each stage adds and subtracts whole runs of rows."""
+    rows, width = a.shape
+    h = 1
+    while h < rows:
+        pairs = a.reshape(-1, 2, h * width)
+        left, right = pairs[:, 0], pairs[:, 1]
+        left += right  # l + r
+        right *= -2
+        right += left  # l + r - 2r = l - r
+        h *= 2
+
+
 def fwht(table: np.ndarray) -> WalshSpectrum:
-    """Butterfly transform of a 0/1 truth table, O(q log q)."""
+    """Butterfly transform of a 0/1 truth table, O(q log q), as int32 values.
+
+    Two passes over a 2-D int32 array of the signs (-1)^bits[x], so that every
+    stage works on contiguous runs of at least 2^(m//2) elements.  The table
+    is read transposed, as (2^(m//2), 2^(m - m//2)), and the butterflies run
+    over its row bits (the low m//2 bits of x).  It is transposed back to
+    (2^(m - m//2), 2^(m//2)) and the butterflies run over its row bits again
+    (the high bits of x).  After k stages each entry is a signed sum of 2^k
+    signs, and the ``-2 * right`` step doubles a sum of at most q/2, so no
+    value passes q <= 2^20 and int32 is exact.  Widen before squaring.
+    """
     q = len(table)
     m = q.bit_length() - 1
     if q < 1 or (1 << m) != q:
         raise ValueError(f"table length {q} is not a power of two")
-    a = (1 - 2 * table.astype(np.int64)).reshape(1, q)
-    h = 1
-    while h < q:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
-        h *= 2
+    low = m // 2
+    a = np.ascontiguousarray(table.reshape(1 << (m - low), 1 << low).T, dtype=np.int32)
+    a *= -2
+    a += 1
+    _row_butterflies(a)
+    a = np.ascontiguousarray(a.T)
+    _row_butterflies(a)
     return WalshSpectrum(m=m, values=a.reshape(q))
 
 
@@ -69,9 +91,11 @@ def nonlinearity(spec: WalshSpectrum) -> int:
 def parseval_sum(spec: WalshSpectrum) -> int:
     """sum of values^2, which Parseval fixes at q^2.
 
-    |values| <= q, so the sum is at most q^3 and exact in int64 through m = 20.
+    |values| <= q, so the sum is at most q^3: exact once widened to int64
+    (through m = 20), where an int32 square would overflow from m = 16.
     """
-    return int(np.sum(spec.values ** 2))
+    v = spec.values.astype(np.int64)
+    return int(np.dot(v, v))
 
 
 def parseval_ok(spec: WalshSpectrum) -> bool:

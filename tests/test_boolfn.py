@@ -1,7 +1,9 @@
 import json
+from functools import cache
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walshforge.boolfn import (TracePoly, eval_g, reduce_difference,
                                tracepoly_from_json, tracepoly_to_dict, truth_table)
@@ -39,6 +41,35 @@ def test_truth_table_matches_scalar(m):
     tt = truth_table(ctx, g)
     for x in range(ctx.q):
         assert int(tt[x]) == ctx.trace(eval_g(ctx, g, x))
+
+
+@cache
+def field(m):
+    return FieldCtx(m)
+
+
+@st.composite
+def fields_and_g(draw):
+    """(m, G) with m in 2..11 and s up to m-1; half the b_i are drawn as 0."""
+    m = draw(st.integers(2, 11))
+    q = 1 << m
+    s = draw(st.integers(0, m - 1))
+    coef = st.one_of(st.just(0), st.integers(1, q - 1))
+    return m, TracePoly(a7=draw(st.integers(1, q - 1)),
+                        b=tuple(draw(coef) for _ in range(s + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_g())
+# exponents e with gcd(e, q-1) > 1: x^3, x^7 and x^9 at m = 6, x^5 at m = 4
+@example((6, TracePoly(a7=5, b=(0, 7, 0, 33))))
+@example((4, TracePoly(a7=3, b=(1, 0, 9, 4))))
+def test_truth_table_matches_trace_of_eval_g(case):
+    m, g = case
+    ctx = field(m)
+    tt = truth_table(ctx, g)
+    assert tt.dtype == np.uint8 and tt.shape == (ctx.q,)
+    assert [int(bit) for bit in tt] == [ctx.trace(eval_g(ctx, g, x)) for x in range(ctx.q)]
 
 
 def test_reduce_difference_unit_example(ctx5):

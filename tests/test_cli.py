@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshforge.cli import main
+from walshforge.cli import SLOW_M, main
 
 
 def run(capsys, *argv):
@@ -327,10 +327,18 @@ def test_curve_malformed_json_exits_2(capsys):
 
 
 def test_slow_gate(capsys):
-    code, out, err = run(capsys, "analyze", "--m", "13", "--g", '{"a7":"0x1"}')
+    assert SLOW_M == 16
+    code, out, err = run(capsys, "analyze", "--m", "16", "--g", '{"a7":"0x1"}',
+                         "--checks", "spectrum,genus2")
     assert code == 2 and "--slow" in err
+    code, out, err = run(capsys, "verify", "--m", "17", "--count", "1")
+    assert code == 2 and "--slow" in err
+    # one below the gate the X_alpha table runs without the flag
+    code, doc = run_json(capsys, "analyze", "--m", "15", "--g", '{"a7":"0x1"}',
+                         "--checks", "spectrum,autocorr")
+    assert code == 0 and "sigma4_autocorr" in doc["summary"]
     # spectrum-only analysis is cheap and stays available without the flag
-    code, doc = run_json(capsys, "analyze", "--m", "13", "--g", '{"a7":"0x1"}',
+    code, doc = run_json(capsys, "analyze", "--m", "16", "--g", '{"a7":"0x1"}',
                          "--checks", "spectrum,bounds")
     assert code == 0
 

@@ -1,5 +1,8 @@
+from functools import cache
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from walshforge.field import FieldCtx, default_modulus, is_irreducible
 
@@ -163,11 +166,36 @@ def test_monomial_table_matches_scalar(ctx5):
 
 
 def test_trace_bits_matches_scalar(ctx7):
-    import numpy as np
     vals = np.arange(128, dtype=np.int64)
     bits = ctx7.trace_bits(vals)
     for x in range(128):
         assert int(bits[x]) == ctx7.trace(x)
+
+
+@cache
+def field(m):
+    return FieldCtx(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, (1 << m) - 1), st.integers(1, 2 << m))))
+@example((6, 5, 9))  # gcd(e, q-1) = 9: x -> x^9 is 9-to-1 on the units
+@example((4, 1, 5))  # gcd(e, q-1) = 5
+@example((3, 3, 7))  # e = q-1: x^e = 1 for every x != 0
+@example((5, 0, 3))  # coef = 0
+def test_monomial_trace_matches_trace_bits_of_monomial_table(case):
+    m, coef, e = case
+    ctx = field(m)
+    got = ctx.monomial_trace(coef, e)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, ctx.trace_bits(ctx.monomial_table(coef, e)))
+    assert ctx.monomial_trace(coef, e) is not got  # callers may XOR into it
+
+
+def test_monomial_trace_rejects_exponent_zero(ctx5):
+    with pytest.raises(ValueError):
+        ctx5.monomial_trace(1, 0)
 
 
 def test_even_degree_fields_supported():

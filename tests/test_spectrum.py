@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
 from walshforge.spectrum import (WalshSpectrum, divisibility_check, fwht, l4_fourth,
-                                 linf, nonlinearity, parseval_ok)
+                                 linf, nonlinearity, parseval_ok, parseval_sum)
 
 
 def walsh_double_sum(table, v):
@@ -14,6 +14,39 @@ def walsh_double_sum(table, v):
     for x, bit in enumerate(table):
         total += (-1) ** (int(bit) ^ (bin(v & x).count("1") & 1))
     return total
+
+
+def fwht_stages(table):
+    """Stage-by-stage int64 butterfly over the whole table (h = 1, 2, 4, ...),
+    kept as the reference for the two-pass transform."""
+    q = len(table)
+    a = (1 - 2 * table.astype(np.int64)).reshape(1, q)
+    h = 1
+    while h < q:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        right = a[:, h:].copy()
+        a[:, :h] = left + right
+        a[:, h:] = left - right
+        h *= 2
+    return a.reshape(q)
+
+
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_fwht_matches_stage_by_stage_reference(m, seed, density):
+    # m = 0 and 1 leave a pass empty; odd m gives the two passes different lengths
+    table = (np.random.default_rng(seed).random(1 << m) < density).astype(np.uint8)
+    spec = fwht(table)
+    assert spec.m == m and spec.values.dtype == np.int32
+    np.testing.assert_array_equal(spec.values, fwht_stages(table))
+
+
+def test_fwht_is_exact_at_the_largest_field():
+    # values[0] = q = 2^20; its square and fourth power overflow int32 and int64
+    spec = fwht(np.zeros(1 << 20, dtype=np.uint8))
+    assert int(spec.values[0]) == 2**20
+    assert parseval_sum(spec) == 2**40
+    assert l4_fourth(spec) == 2**60
 
 
 def test_tr_x3_m3_spectrum(ctx3):
