@@ -10,7 +10,16 @@ alpha on the truth table packed 64 x to a uint64 word.  With
 alpha = 64*hi + lo, x -> x + alpha moves word j to word j ^ hi and permutes
 the bits inside a word by k -> k ^ lo, so one table of the 64 in-word
 permutations of the packed truth table (q words in all) turns every alpha
-into an XOR and popcount over q/64 words.
+into an XOR and popcount over q/64 words.  The table is built by
+delta-swaps: the permutation for lo = 2^b + r is the one for r with bits
+k and k ^ 2^b of every word exchanged, two masks and two shifts per word.
+
+The summand f(x) + f(x + alpha) is the same at x and x + alpha, so every
+pair of words {j, j ^ hi} contributes twice the same count.  For hi >= 1
+only the words j whose bit t is clear, t the top bit of hi, are counted and
+the sum doubled, which halves the sweep; exactly one word of each pair has
+bit t clear.  The hi = 0 row (alpha < 64) pairs bits inside one word and is
+counted in full.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 from .boolfn import TracePoly, truth_table
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
-X_ALPHA_MAX_M = 17  # the full table costs q^2 / 64 word XOR-and-popcounts
+X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
 
 
 @dataclass
@@ -44,26 +53,44 @@ def x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
 
 
 def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> XAlphaTable:
-    """Full table over alpha != 0; O(q^2 / 64) word operations."""
+    """Full table over alpha != 0; about q^2 / 128 word operations."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
-    bits = truth_table(ctx, g)
     q = ctx.q
     lanes = min(q, 64)  # fields with q < 64 fill one partial word
-    idx = np.arange(q)
-    words = pack_bits(bits)
-    perm = np.stack([pack_bits(bits[idx ^ lo]) for lo in range(lanes)])  # perm[lo] packs f(x+lo)
-    # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for alpha = 64*hi + lo,
-    # in blocks of (hi, lo, j) of at most BATCH words
+    words = pack_bits(truth_table(ctx, g))
     n_words = len(words)
+    # perm[lo] packs f(x + lo); perm[s + r] is perm[r] delta-swapped by s = 2^b
+    perm = np.empty((lanes, n_words), dtype=np.uint64)
+    perm[0] = words
+    rows = max(1, BATCH // n_words)
+    for b in range(lanes.bit_length() - 1):
+        s = 1 << b
+        mask = (1 << 64) // ((1 << s) + 1)  # the bits k whose bit b is clear
+        for r in range(0, s, rows):
+            src = perm[r:min(r + rows, s)]
+            perm[s + r:s + r + len(src)] = ((src & mask) << s) | ((src >> s) & mask)
+    # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for
+    # alpha = 64*hi + lo, summed for hi >= 1 over the words j with the top bit
+    # of hi clear and doubled below
     w = np.arange(n_words)
-    lo_step = max(1, min(lanes, BATCH // n_words))
-    hi_step = max(1, BATCH // (lo_step * n_words))
+    groups = [(0, 1, w[None], perm[:, None])]  # (hi range, j, perm[:, j])
+    groups += [(h, 2 * h, w.reshape(-1, 2, h)[:, 0], perm.reshape(lanes, -1, 2, h)[:, :, 0])
+               for h in (1 << t for t in range(n_words.bit_length() - 1))]
     mism = np.empty((n_words, lanes), dtype=np.int64)
-    for hi in range(0, n_words, hi_step):
-        moved = words[w[hi:hi + hi_step, None] ^ w][:, None, :]
-        for lo in range(0, lanes, lo_step):
-            mism[hi:hi + hi_step, lo:lo + lo_step] = popcount(moved ^ perm[lo:lo + lo_step])
+    for start, stop, j, perm_j in groups:
+        # blocks of (hi, lo, j) of at most BATCH words
+        n_j = j.size
+        lo_step = max(1, min(lanes, BATCH // n_j))
+        hi_step = max(1, BATCH // (lo_step * n_j))
+        for hi in range(start, stop, hi_step):
+            moved = words[np.arange(hi, min(hi + hi_step, stop))[:, None, None] ^ j]
+            n_hi = len(moved)
+            moved = moved[:, None]  # (hi, 1, *j.shape)
+            for lo in range(0, lanes, lo_step):
+                diff = moved ^ perm_j[lo:lo + lo_step]
+                mism[hi:hi + n_hi, lo:lo + lo_step] = popcount(diff.reshape(n_hi, -1, n_j))
+    mism[1:] *= 2
     signed = q - 2 * mism.ravel()
     signed[0] = 0
     return XAlphaTable(q=q, x=signed * signed)

@@ -9,6 +9,8 @@ Subcommands:
 Exit codes: 0 all hard checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Reports carry a determinism hash over everything except
 the metadata block, so two runs with the same config and seed hash identically.
+Commands run in one process share the field context of their (m, modulus),
+so a field's tables are built once per process.
 ``--threads`` is accepted for compatibility and has no effect.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 from . import __version__
 from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
                      tracepoly_to_dict, truth_table)
-from .field import MAX_M, FieldCtx
+from .field import MAX_M, FieldCtx, default_modulus
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
 from .spectrum import fwht, l4_fourth, linf, nonlinearity, parseval_sum
@@ -62,13 +64,22 @@ def _read_arg_or_file(value: str) -> str:
         raise UsageError(f"cannot read {value!r}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
+def _field(m: int, modulus: int) -> FieldCtx:
+    """The context every command of this process at (m, modulus) shares, so
+    its tables are built once.  One entry: an idle process holds at most one
+    field (24 MB plus 4 MB per exponent used at m = 20).  A ValueError is
+    raised again on every call, never cached."""
+    return FieldCtx(m, modulus)
+
+
 def _build_ctx(args) -> FieldCtx:
     if args.m > MAX_M:
         raise UsageError(f"m={args.m} above {MAX_M}: every command holds "
                          "whole-field arrays of 2^m elements")
     try:
-        modulus = int(args.modulus, 16) if args.modulus else None
-        return FieldCtx(args.m, modulus)
+        modulus = int(args.modulus, 16) if args.modulus else default_modulus(args.m)
+        return _field(args.m, modulus)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -141,7 +152,7 @@ def _bound_checks(ctx, g, lv: int, sigma4: int) -> list[Check]:
 
 def _spectrum_section(ctx, g, spec, bounds: bool):
     lv, sigma = linf(spec), l4_fourth(spec)
-    row = {"linf": lv, "nl": nonlinearity(spec), "sigma4_spectrum": sigma}
+    row = {"linf": lv, "nl": nonlinearity(spec, lv), "sigma4_spectrum": sigma}
     checks = [compare("parseval", parseval_sum(spec), "==", ctx.q * ctx.q)]
     if bounds:
         divisor = 1 << -(-ctx.m // 3)  # 2^ceil(m/d) for binary degree d = 3

@@ -4,7 +4,10 @@ An element is an integer in [0, 2^m) read as a polynomial over GF(2) in the
 power basis, reduced modulo an explicit degree-m irreducible ``modulus``
 bitmask.  Everything here is deterministic and pure; a :class:`FieldCtx` is
 immutable after construction, apart from caches of values fixed by
-(m, modulus), and safe to share across workers.
+(m, modulus), and safe to share across workers.  Its tables are read-only
+arrays, so no caller can corrupt a shared context.  The CLI shares one
+context per process: every command at the same (m, modulus) reuses its
+tables, and a command at another field replaces it.
 
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
@@ -133,6 +136,12 @@ def default_modulus(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a context's tables are shared by every caller."""
+    a.setflags(write=False)
+    return a
+
 
 class FieldCtx:
     """Immutable description of GF(2^m): m, modulus bitmask, trace data."""
@@ -292,8 +301,8 @@ class FieldCtx:
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(n_el)
         log[0] = -self.q  # poison: any use of log[0] lands far out of range
-        self._exp = np.concatenate([exp, exp])  # doubled so exp[i+j] needs no reduction
-        self._log = log
+        self._exp = _frozen(np.concatenate([exp, exp]))  # doubled: exp[i+j] needs no reduction
+        self._log = _frozen(log)
 
     def _find_generator(self) -> int:
         n = self.q - 1
@@ -404,7 +413,7 @@ class FieldCtx:
         """Tr(g^n) as uint8 for n in [0, 2(q-1)): the traces of the doubled
         antilog table, so an offset index below 2(q-1) needs no reduction."""
         half = self.trace_bits(self._exp[:self.q - 1])
-        return np.concatenate([half, half])
+        return _frozen(np.concatenate([half, half]))
 
     def _log_multiple(self, e: int) -> np.ndarray:
         """int32 e*log(x) mod (q-1) for x in [0, q), built the first time e is
@@ -414,7 +423,7 @@ class FieldCtx:
             n = self.q - 1
             idx = self._log * (e % n)
             idx %= n
-            idx = self._log_multiples[e] = idx.astype(np.int32)
+            idx = self._log_multiples[e] = _frozen(idx.astype(np.int32))
         return idx
 
     def monomial_trace(self, coef: int, e: int) -> np.ndarray:

@@ -84,8 +84,9 @@ def l4_fourth(spec: WalshSpectrum) -> int:
     return total // spec.q
 
 
-def nonlinearity(spec: WalshSpectrum) -> int:
-    return (1 << (spec.m - 1)) - linf(spec) // 2
+def nonlinearity(spec: WalshSpectrum, lv: int | None = None) -> int:
+    """2^(m-1) - linf/2; pass ``lv`` when ``linf(spec)`` is already known."""
+    return (1 << (spec.m - 1)) - (linf(spec) if lv is None else lv) // 2
 
 
 def parseval_sum(spec: WalshSpectrum) -> int:

@@ -25,6 +25,7 @@ from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_po
                                count_points_all)
 
 CTX = {m: FieldCtx(m) for m in range(3, 12)}
+CTX_13 = FieldCtx(13)
 SLOW = settings(max_examples=12, deadline=None)
 
 
@@ -323,6 +324,25 @@ def test_packed_x_alpha_matches_scalar_on_every_alpha(m, data):
     table = x_alpha_all(ctx, g)
     assert table.x[0] == 0
     assert table.x[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
+
+
+# At m = 13 the word shift hi = alpha // 64 has seven top bits t = 0..6 (128
+# words), so the doubled half-counts run on every word-pairing block.
+_RNG_13 = np.random.default_rng(13)
+ALPHAS_13 = np.concatenate([np.arange(1, 64)] + [
+    64 * _RNG_13.integers(1 << t, 2 << t, size=57) + _RNG_13.integers(0, 64, size=57)
+    for t in range(7)])
+
+
+@settings(max_examples=3, deadline=None)
+@given(g=tracepolys(13))
+def test_packed_x_alpha_matches_scalar_on_every_top_bit_block(g):
+    ctx = CTX_13
+    bits = truth_table(ctx, g)
+    table = x_alpha_all(ctx, g)
+    assert {int(a // 64).bit_length() - 1 for a in ALPHAS_13 if a >= 64} == set(range(7))
+    assert [int(table.x[a]) for a in ALPHAS_13] == [x_alpha_from_bits(bits, int(a))
+                                                    for a in ALPHAS_13]
 
 
 @pytest.mark.parametrize("m", PACKED_M)

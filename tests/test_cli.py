@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walshforge.cli as cli
 from walshforge.cli import SLOW_M, main
+from walshforge.field import FieldCtx, default_modulus
 
 
 def run(capsys, *argv):
@@ -206,6 +208,47 @@ def test_report_hashes_pinned(capsys, argv, digest):
     code, doc = run_json(capsys, *argv)
     assert code == (1 if "--selftest-negative" in argv else 0)
     assert doc["determinism_hash"] == digest
+
+
+# -- one field per process ------------------------------------------------------
+
+SPECTRUM_7 = ("analyze", "--m", "7", "--checks", "spectrum", "--g", '{"a7":"0x3"}')
+
+
+def test_commands_share_one_field(monkeypatch, capsys):
+    builds = []
+    real_init = FieldCtx.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(FieldCtx, "__init__", counting_init)
+    cli._field.cache_clear()
+    first = run_json(capsys, *SPECTRUM_7)[1]
+    second = run_json(capsys, *SPECTRUM_7)[1]
+    assert len(builds) == 1
+    assert first["determinism_hash"] == second["determinism_hash"]
+    # the default modulus spelt out is the same field
+    run_json(capsys, *SPECTRUM_7, "--modulus", hex(default_modulus(7)))
+    assert len(builds) == 1
+    FieldCtx(7)  # a direct construction is never shared
+    assert len(builds) == 2
+
+
+def test_bad_modulus_exits_2_on_every_call(capsys):
+    cli._field.cache_clear()
+    for _ in range(2):
+        code, out, err = run(capsys, *SPECTRUM_7, "--modulus", "0x82")
+        assert code == 2 and not out and "reducible" in err
+
+
+def test_cold_and_warm_runs_hash_alike(capsys):
+    argv, digest = PINNED[4]
+    assert argv[:3] == ("analyze", "--m", "9")
+    cli._field.cache_clear()
+    hashes = [run_json(capsys, *argv)[1]["determinism_hash"] for _ in range(2)]
+    assert hashes == [digest, digest]
 
 
 # m = 18 is the first size above the limit; the odd-only autocorr and verify

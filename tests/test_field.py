@@ -202,3 +202,11 @@ def test_even_degree_fields_supported():
     ctx = FieldCtx(4)
     assert ctx.q == 16
     assert ctx.trace(1) == 0  # m even
+
+
+def test_tables_are_read_only():
+    # the CLI shares one context between commands: no caller may write into it
+    ctx = FieldCtx(5)
+    for table in (ctx._exp, ctx._log, ctx._exp_trace, ctx._log_multiple(3)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0

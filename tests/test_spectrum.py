@@ -92,6 +92,7 @@ def test_nonlinearity_matches_affine_scan(m):
     tt = truth_table(ctx, g)
     spec = fwht(tt)
     assert nonlinearity(spec) == affine_distance_nl(tt, m)
+    assert nonlinearity(spec, linf(spec)) == nonlinearity(spec)
 
 
 def test_l4_bounds_on_corpus(ctx7):
