@@ -13,7 +13,8 @@ no part of it is trusted by construction.
 
 :func:`classify_all` runs the same steps as whole-field array passes over
 every alpha at once; the per-alpha :func:`classify_alpha` is its test
-oracle.
+oracle.  It finds v by the two half-trace steps above; :func:`classify_all`
+takes the same trace-0 root from the closed form of ``FieldCtx.vsolve_quartic``.
 
 The module also carries the family's bound checkers (all verdicts in exact
 integer arithmetic):

@@ -46,6 +46,7 @@ from .report import Check, Report, compare
 ALL_CHECKS = ("spectrum", "autocorr", "predictor", "bounds", "auxcurve", "genus2")
 ODD_ONLY_CHECKS = ("autocorr", "predictor", "auxcurve")
 SLOW_M = 16  # the X_alpha commands take over ~1 s from here (README gives figures)
+MAX_COUNT = 2 ** 16  # largest scan/verify --count: the corpus is one list built up front
 SCHEMA = "walsh-forge/1"
 
 
@@ -85,11 +86,13 @@ def _build_ctx(args) -> FieldCtx:
 
 
 def _resolve_checks(args, m: int) -> tuple[str, ...]:
-    if args.checks:
+    if args.checks is not None:
         sel = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         unknown = [c for c in sel if c not in ALL_CHECKS]
         if unknown:
             raise UsageError(f"unknown checks {unknown}; available: {','.join(ALL_CHECKS)}")
+        if not sel:
+            raise UsageError(f"--checks {args.checks!r} names no check of {','.join(ALL_CHECKS)}")
     else:
         sel = ALL_CHECKS
     if m % 2 == 0:
@@ -131,8 +134,8 @@ def _check_s(s: int, ctx: FieldCtx) -> None:
 
 
 def _corpus(args, ctx: FieldCtx) -> list[TracePoly]:
-    if args.count < 1:
-        raise UsageError(f"{args.cmd} needs --count >= 1")
+    if not 1 <= args.count <= MAX_COUNT:
+        raise UsageError(f"{args.cmd} needs 1 <= --count <= {MAX_COUNT}, got {args.count}")
     _check_s(args.s, ctx)
     return standard_corpus(ctx.q, args.count, args.s, args.seed)
 

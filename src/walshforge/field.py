@@ -13,18 +13,21 @@ Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
 helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vexp``,
-``vhalf_trace``, ``vsolve_artin_schreier``, ``vsolve_quartic``,
-``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays of
-elements.  Tests cross-check the tables against the shift-xor product
-``mul_raw``.
+``vsolve_quartic``, ``trace_bits``, ``monomial_table``), which act
+elementwise on int64 arrays of elements.  Tests cross-check the tables
+against the shift-xor product ``mul_raw``.
 
-Truth tables take a shorter path: ``monomial_trace(coef, e)`` gives the bits
+For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
+closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
+
+Trace rows take a shorter path: ``monomial_trace(coef, e)`` gives the bits
 ``Tr(coef * x^e)`` for every x with one gather from the trace table
 ``Tr(g^n)``, n in [0, 2(q-1)), offset by ``log(coef)``, at the index array
-``e*log(x) mod (q-1)``.  The trace table is built on first use and each int32
-index array the first time its exponent is used (4 MB per exponent at
-m = 20); both stay cached on the context.  ``monomial_table`` and
-``trace_bits`` are its test oracle.
+``e*log(x) mod (q-1)``.  Truth tables, the auxiliary curve's S7 sum and the
+one-curve point count are XORs of such rows.  The trace table is built on
+first use and each int32 index array the first time its exponent is used
+(4 MB per exponent at m = 20); both stay cached on the context.
+``monomial_table`` and ``trace_bits`` are its test oracle.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -360,44 +363,32 @@ class FieldCtx:
         return self._exp[np.asarray(n, dtype=np.int64) % (self.q - 1)]
 
     @cached_property
-    def _half_trace_basis(self) -> list[int]:
-        return [self.half_trace(1 << j) for j in range(self.m)]
-
-    def vhalf_trace(self, c) -> np.ndarray:
-        """Half-trace elementwise: it is GF(2)-linear, so an XOR of the basis
-        images picked out by the set bits of c."""
-        if self.m % 2 == 0:
-            raise ValueError("half-trace solver requires odd m")
-        c = np.asarray(c, dtype=np.int64)
-        h = np.zeros(c.shape, dtype=np.int64)
-        for j, hj in enumerate(self._half_trace_basis):
-            h ^= ((c >> j) & 1) * hj
-        return h
-
-    def vsolve_artin_schreier(self, c) -> tuple[np.ndarray, np.ndarray]:
-        """(u, has_root): u^2 + u = c where Tr(c) = 0, and u = 0 elsewhere."""
-        c = np.asarray(c, dtype=np.int64)
-        has_root = self.vtrace(c) == 0
-        u = np.where(has_root, self.vhalf_trace(c), 0)
-        bad = has_root & ((self.vmul(u, u) ^ u) != c)
-        if np.count_nonzero(bad):
-            raise AssertionError(f"half-trace failed for c={int(c[bad][0]):#x}")
-        return u, has_root
+    def _quartic_basis(self) -> list[int]:
+        basis = np.int64(1) << np.arange(self.m, dtype=np.int64)
+        return np.bitwise_xor.reduce(
+            [self.vpow(basis, 4 ** i) for i in range(1, self.m - 1, 2)]).tolist()
 
     def vsolve_quartic(self, c) -> tuple[np.ndarray, np.ndarray]:
-        """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  Solves
-        u^2 + u = c, keeps the root u of trace 0, then solves v^2 + v = u."""
+        """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  For odd
+        m, v = sum of c^(4^i) over odd i in [1, m-2] has v^4 + v = c + Tr(c), and
+        Tr(v) = 0 where Tr(c) = 0 (the other root is v + 1).  The map is
+        GF(2)-linear: an XOR of the basis images picked out by the bits of c."""
+        if self.m % 2 == 0:
+            raise ValueError("quartic solver requires odd m")
         c = np.asarray(c, dtype=np.int64)
-        u, has_root = self.vsolve_artin_schreier(c)
-        u ^= self.vtrace(u)  # the roots are u and u + 1, and Tr(1) = 1 for odd m
-        v, has_v = self.vsolve_artin_schreier(u)
-        lost = has_root & ~has_v
+        has_root = self.vtrace(c) == 0
+        v = np.zeros(c.shape, dtype=np.int64)
+        for j, vj in enumerate(self._quartic_basis):
+            v ^= ((c >> j) & 1) * vj
+        v = np.where(has_root, v, 0)
+        lost = has_root & ((self.vpow(v, 4) ^ v) != c)
         if np.count_nonzero(lost):
             raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={int(c[lost][0]):#x}")
         return v, has_root
 
     def monomial_table(self, coef: int, e: int) -> np.ndarray:
-        """Array over all x in [0,q) of coef * x^e  (e >= 1)."""
+        """Array over all x in [0,q) of coef * x^e  (e >= 1): the oracle of
+        :meth:`monomial_trace`, reached only from tests and perfbench's tracer."""
         if e < 1:
             raise ValueError("monomial exponent must be >= 1")
         q = self.q

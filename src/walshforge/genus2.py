@@ -111,11 +111,11 @@ def classify(ctx: FieldCtx, curve: QuinticCurve) -> SymplecticData:
 
 def count_points_affine(ctx: FieldCtx, curve: QuinticCurve) -> int:
     """2 * #{x : Tr(a x^5 + b x^3 + c x + d) = 0} by direct enumeration."""
-    vals = (ctx.monomial_table(curve.a, 5)
-            ^ ctx.monomial_table(curve.b, 3)
-            ^ ctx.monomial_table(curve.c, 1)
-            ^ np.int64(curve.d))
-    return 2 * int(ctx.q - ctx.trace_bits(vals).sum())
+    ones = int(np.count_nonzero(ctx.monomial_trace(curve.a, 5)
+                                ^ ctx.monomial_trace(curve.b, 3)
+                                ^ ctx.monomial_trace(curve.c, 1)))
+    # a trace-1 d flips every x
+    return 2 * (ctx.q - ones if ctx.trace(curve.d) == 0 else ones)
 
 
 def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:

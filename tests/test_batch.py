@@ -75,15 +75,9 @@ def test_vector_helpers_match_scalar(m):
                                                       for a in x]
     if m % 2:
         assert ctx.vfrac_pow(x, 1, 3).tolist() == [ctx.kth_root(int(a), 3) for a in x]
-        assert ctx.vhalf_trace(x).tolist() == [ctx.half_trace(int(a)) for a in x]
-        u, has_root = ctx.vsolve_artin_schreier(x)
-        for a, uk, ok in zip(x.tolist(), u.tolist(), has_root.tolist()):
-            ref = ctx.solve_artin_schreier(a)
-            assert ok == (ref is not None)
-            assert uk == (ref if ok else 0)
     else:
-        with pytest.raises(ValueError):
-            ctx.vhalf_trace(x)
+        with pytest.raises(ValueError, match="odd m"):
+            ctx.vsolve_quartic(x)
 
 
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
@@ -97,31 +91,27 @@ def test_pack_bits_and_popcount(n):
     assert field.popcount(words).tolist() == bits.sum(axis=1).tolist()
 
 
-@pytest.mark.parametrize("m", [5, 7, 9])
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
 def test_vsolve_quartic_exhaustive(m):
-    # for odd m, v^4 + v = c has a root exactly when Tr(c) = 0
+    # for odd m, v^4 + v = c has a root exactly when Tr(c) = 0; of the two
+    # roots v, v + 1 the solver returns the one of trace 0, the root the
+    # pinned --selftest-negative reports print
     ctx = CTX[m]
     v, has_root = ctx.vsolve_quartic(np.arange(ctx.q))
     for c, vc, ok in zip(range(ctx.q), v.tolist(), has_root.tolist()):
         assert ok == (ctx.trace(c) == 0)
         if ok:
             assert ctx.pow(vc, 4) ^ vc == c
+            assert ctx.trace(vc) == 0
         else:
             assert vc == 0
 
 
 def test_vsolve_quartic_names_the_first_lost_root():
     ctx = FieldCtx(5)
-    real = ctx.vsolve_artin_schreier
-    calls = []
-
-    def second_step_fails(c):  # u^2 + u = c solves; v^2 + v = u finds nothing
-        u, has_root = real(c)
-        calls.append(c)
-        return u, has_root & (len(calls) == 1)
-
-    ctx.vsolve_artin_schreier = second_step_fails
-    with pytest.raises(AssertionError, match=r"c=0x0$"):
+    ctx._quartic_basis[2] ^= 0b10  # x is outside GF(4), so v + x is never a root again
+    first = min(c for c in range(ctx.q) if ctx.trace(c) == 0 and c >> 2 & 1)
+    with pytest.raises(AssertionError, match=rf"c={first:#x}$"):
         ctx.vsolve_quartic(np.arange(ctx.q))
 
 

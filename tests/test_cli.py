@@ -318,12 +318,28 @@ def test_curve_a_zero_exits_2(capsys):
     ["analyze", "--m", "5", "--g", '{"b":{"0":"0x3"}}'],
     ["curve", "--m", "5", "--curve", '{"a":"0x1","b":"0x1","c":"0x0"}'],
     ["analyze", "--m", "5", "--g", '{"a7":"0x3"}', "--out", "{missing}/r.json"],
+    # a --checks list that names no check would pass vacuously
+    ["analyze", "--m", "5", "--checks", ",", "--g", '{"a7":"0x1"}'],
+    ["analyze", "--m", "5", "--checks", " ", "--g", '{"a7":"0x1"}'],
+    ["verify", "--m", "5", "--checks", ",", "--count", "1"],
+    ["verify", "--m", "5", "--checks", " ", "--count", "1"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["scan", "verify"])
+def test_count_limit_refused_before_the_corpus(capsys, monkeypatch, cmd):
+    def no_corpus(*args):
+        raise AssertionError("corpus built past the --count limit")
+
+    monkeypatch.setattr(cli, "standard_corpus", no_corpus)
+    code, out, err = run(capsys, cmd, "--m", "5", "--count", str(cli.MAX_COUNT + 1))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--count" in err
 
 
 # JSON values of every type; coefficients are hex strings (some negative, some
