@@ -24,6 +24,6 @@ print(f"nonlinearity      : {nonlinearity(spec)}  (= 2^{ctx.m - 1} - max/2)")
 print(f"sum of 4th powers : {l4_fourth(spec)}  (sigma4; q^2 = {ctx.q ** 2} is the floor)")
 
 # every Walsh value of a cubic-exponent trace form is divisible by 2^ceil(m/3)
-vals = sorted(set(abs(int(v)) for v in spec.values))
+vals = sorted(set(abs(int(v)) for v in spec))
 print(f"distinct |values| : {vals}")
 print(f"all divisible by 2^ceil(7/3) = 8: {all(v % 8 == 0 for v in vals)}")

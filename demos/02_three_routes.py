@@ -10,8 +10,8 @@ consistency argument of this package.
 
 from collections import Counter
 
-from walshforge import (FieldCtx, TracePoly, classify_alpha, count_n0_n, fwht,
-                        l4_fourth, sigma_autocorr, sigma_decomposition,
+from walshforge import (FieldCtx, TracePoly, classify_all, classify_alpha, count_n0_n,
+                        fwht, l4_fourth, sigma_autocorr, sigma_decomposition,
                         truth_table, x_alpha_all)
 
 ctx = FieldCtx(7)
@@ -26,7 +26,7 @@ table = x_alpha_all(ctx, g)
 sigma_shift = sigma_autocorr(table)
 
 # route 3: classify every shift algebraically, then assemble
-counts = count_n0_n(ctx, g)
+counts = count_n0_n(ctx, g, classify_all(ctx, g))
 sigma_counts = q * q + 2 * q * counts["N0"] + 8 * q * counts["N"]
 
 print(f"spectral route : {sigma_spectral}")
@@ -35,14 +35,14 @@ print(f"count route    : {sigma_counts}   (N0={counts['N0']}, N={counts['N']}, Z
 assert sigma_spectral == sigma_shift == sigma_counts
 
 # the shift sums only ever take three values: 0, 2q, 8q
-hist = Counter(int(v) for v in table.x[1:])
+hist = Counter(int(v) for v in table[1:])
 print(f"X_alpha histogram: {dict(sorted(hist.items()))}")
 print(f"decomposition    : {sigma_decomposition(table)}")
 
 # look at one shift of each kind in detail
 want = {0, 2 * q, 8 * q}
 for alpha in range(1, q):
-    x_val = int(table.x[alpha])
+    x_val = int(table[alpha])
     if x_val in want:
         want.discard(x_val)
         c = classify_alpha(ctx, g, alpha)

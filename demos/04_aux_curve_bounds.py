@@ -8,7 +8,7 @@ over its points recover N (the number of shifts with X_alpha = 8q) exactly,
 and Weil-type bounds on the curve cap how far N can stray from q/8.
 """
 
-from walshforge import (FieldCtx, TracePoly, count_n0_n, count_n123,
+from walshforge import (FieldCtx, TracePoly, classify_all, count_n0_n, count_n123,
                         enumerate_points, gamma_of, s7_sum)
 
 ctx = FieldCtx(9)
@@ -30,7 +30,7 @@ res = count_n123(ctx, g, pts)
 print(f"N1={res['N1']}, N2={res['N2']}, N3={res['N3']} over {len(pts.points)} points")
 print(f"assembled N = (N1 + N2 + N3 - #points)/4 = {res['N_assembled']}")
 
-direct = count_n0_n(ctx, g)["N"]
+direct = count_n0_n(ctx, g, classify_all(ctx, g))["N"]
 print(f"N by classifying every shift directly      = {direct}")
 assert res["N_assembled"] == direct
 

@@ -17,26 +17,26 @@ cross-check each other:
 from .field import FieldCtx, default_modulus
 from .rng import SplitRng, derive_seed
 from .boolfn import TracePoly, eval_g, reduce_difference, reduce_difference_all, truth_table
-from .spectrum import WalshSpectrum, fwht, l4_fourth, linf, nonlinearity
-from .autocorr import XAlphaTable, sigma_autocorr, sigma_decomposition, x_alpha, x_alpha_all
+from .spectrum import fwht, l4_fourth, linf, nonlinearity
+from .autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from .genus2 import (QuinticCurve, classify, classify_curves, count_points, count_points_all,
                      maisner_nart_w, normalize_ab, radical)
-from .classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha, predict_x_alpha
+from .classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
 from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from .corpus import curve_corpus, mixed_corpus, sample_curve, sample_tracepoly, standard_corpus
 from .report import Check, Report, compare, slack_bound
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "FieldCtx", "default_modulus",
     "SplitRng", "derive_seed",
     "TracePoly", "eval_g", "reduce_difference", "reduce_difference_all", "truth_table",
-    "WalshSpectrum", "fwht", "l4_fourth", "linf", "nonlinearity",
-    "XAlphaTable", "sigma_autocorr", "sigma_decomposition", "x_alpha", "x_alpha_all",
+    "fwht", "l4_fourth", "linf", "nonlinearity",
+    "sigma_autocorr", "sigma_decomposition", "x_alpha_all",
     "QuinticCurve", "classify", "classify_curves", "count_points", "count_points_all",
     "maisner_nart_w", "normalize_ab", "radical",
-    "classify_all", "classify_alpha", "count_n0_n", "eta_of_alpha", "predict_x_alpha",
+    "classify_all", "classify_alpha", "count_n0_n", "eta_of_alpha",
     "count_n123", "enumerate_points", "gamma_of", "s7_sum",
     "curve_corpus", "mixed_corpus", "sample_curve", "sample_tracepoly", "standard_corpus",
     "Check", "Report", "compare", "slack_bound",

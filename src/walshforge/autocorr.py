@@ -3,7 +3,8 @@
 X_alpha = (sum_x (-1)^(Tr(G(x) + G(x+alpha))))^2.  The sums here are direct
 counts over the truth table, never through the Walsh transform, so that
 q^2 + sum_alpha X_alpha = l4_fourth(fwht(table)) stays a genuine cross-check
-between two independent computation paths.
+between two independent computation paths.  The table is an int64 array
+indexed by alpha in [0, q), entry 0 set to 0.
 
 ``x_alpha_all`` counts the mismatches of f(x) and f(x + alpha) for every
 alpha on the truth table packed 64 x to a uint64 word.  With
@@ -24,20 +25,12 @@ counted in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .boolfn import TracePoly, truth_table
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
 X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
-
-
-@dataclass
-class XAlphaTable:
-    q: int
-    x: np.ndarray  # x[alpha] = X_alpha; x[0] unused (0)
 
 
 def x_alpha_from_bits(bits: np.ndarray, alpha: int) -> int:
@@ -48,12 +41,8 @@ def x_alpha_from_bits(bits: np.ndarray, alpha: int) -> int:
     return (q - 2 * mism) ** 2
 
 
-def x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
-    return x_alpha_from_bits(truth_table(ctx, g), alpha)
-
-
-def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> XAlphaTable:
-    """Full table over alpha != 0; about q^2 / 128 word operations."""
+def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
+    """The X_alpha table; about q^2 / 128 word operations."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     q = ctx.q
@@ -93,22 +82,22 @@ def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> XAlphaTable:
     mism[1:] *= 2
     signed = q - 2 * mism.ravel()
     signed[0] = 0
-    return XAlphaTable(q=q, x=signed * signed)
+    return signed * signed
 
 
-def sigma_autocorr(table: XAlphaTable) -> int:
+def sigma_autocorr(table: np.ndarray) -> int:
     """q^2 + sum of X_alpha — must equal the spectral sigma4 exactly."""
-    return table.q * table.q + int(table.x[1:].sum())
+    return len(table) ** 2 + int(table[1:].sum())
 
 
-def sigma_decomposition(table: XAlphaTable) -> dict:
+def sigma_decomposition(table: np.ndarray) -> dict:
     """Counts N0 = #{X=2q}, N = #{X=8q}, Z = #{X=0}.
 
     Any entry outside {0, 2q, 8q} means an even m, a7 = 0, or a bug, and is
     reported with the offending alpha.
     """
-    q = table.q
-    x = table.x[1:]
+    q = len(table)
+    x = table[1:]
     z, n0, n = (int(np.count_nonzero(x == v)) for v in (0, 2 * q, 8 * q))
     if z + n0 + n < q - 1:
         alpha = 1 + int(np.flatnonzero((x != 0) & (x != 2 * q) & (x != 8 * q))[0])

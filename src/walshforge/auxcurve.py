@@ -45,7 +45,6 @@ from .report import Check, slack_bound
 
 @dataclass
 class AuxCurvePoints:
-    gamma: int
     points: np.ndarray             # (n, 2) int64 rows (x, v), (x, v^1); x != 0
     count_total: int               # #C(k), including (0,0), (0,1), infinity
 
@@ -66,7 +65,7 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
     v, on_curve = ctx.vsolve_quartic(ctx.vmul(gamma, ctx.vpow(x, 7)))
     x, v = x[on_curve], v[on_curve]
     pts = np.stack([x, v, x, v ^ 1], axis=1).reshape(-1, 2)
-    return AuxCurvePoints(gamma=gamma, points=pts, count_total=len(pts) + 3)
+    return AuxCurvePoints(points=pts, count_total=len(pts) + 3)
 
 
 def gamma_of(ctx: FieldCtx, g: TracePoly) -> int:

@@ -98,10 +98,6 @@ def classify_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> AlphaClassificati
                                predicted=8 * q if hit else 0)
 
 
-def predict_x_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
-    return classify_alpha(ctx, g, alpha).predicted
-
-
 @dataclass
 class ShiftArrays:
     """:class:`AlphaClassification` fields as arrays; entry k is alpha = k + 1.
@@ -146,14 +142,10 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
                        v=np.where(split, v, -1))
 
 
-def count_n0_n(ctx: FieldCtx, g: TracePoly, shifts: ShiftArrays | None = None) -> dict:
-    """Predicted counts over all alpha != 0, plus deviation-bound checks.
-
-    ``shifts`` is the :func:`classify_all` result for this G, when the caller
-    already has it."""
+def count_n0_n(ctx: FieldCtx, g: TracePoly, shifts: ShiftArrays) -> dict:
+    """Predicted counts over all alpha != 0 from ``shifts``, the
+    :func:`classify_all` result for this G, plus deviation-bound checks."""
     q = ctx.q
-    if shifts is None:
-        shifts = classify_all(ctx, g)
     n0 = int(np.count_nonzero(shifts.predicted == 2 * q))
     n = int(np.count_nonzero(shifts.predicted == 8 * q))
     z = q - 1 - n0 - n

@@ -214,7 +214,7 @@ def _genus2_section(ctx, route: dict, table):
     and (count - q - 1)^2 must reproduce X_alpha."""
     dev = route["count"] - ctx.q - 1
     bad_member = int(np.count_nonzero(np.abs(dev) != route["radius"]))
-    bad_bridge = int(np.count_nonzero(dev * dev != table.x[1:]))
+    bad_bridge = int(np.count_nonzero(dev * dev != table[1:]))
     checks = [compare("curve_count_membership", bad_member, "==", 0,
                       note=f"{ctx.q - 1} shifts"),
               compare("curve_count_bridge", bad_bridge, "==", 0,
@@ -306,6 +306,9 @@ def cmd_verify(args) -> Report:
     _require_slow(args)
     ctx = _build_ctx(args)
     checks_sel = _resolve_checks(args, args.m)
+    if args.checks is not None and {"spectrum", "bounds"} & set(checks_sel):
+        raise UsageError("verify does not run the spectrum or bounds checks; "
+                         "use analyze --checks for them")
     g0 = _load_g(args, ctx)
     corpus = [g0] if g0 is not None else _corpus(args, ctx)
     checks: list[Check] = []
@@ -322,11 +325,11 @@ def cmd_verify(args) -> Report:
         predicted = shifts.predicted.copy()
         if args.selftest_negative and gi == 0:
             predicted[0] = 0 if predicted[0] else 2 * ctx.q  # alpha = 1
-        wrong = np.flatnonzero(predicted != table.x[1:])
+        wrong = np.flatnonzero(predicted != table[1:])
         alphas += ctx.q - 1
         total_mism += len(wrong)
         records = [(k, {"g": gi, "alpha": hex(k + 1), "predicted": int(predicted[k]),
-                        "measured": int(table.x[k + 1]),
+                        "measured": int(table[k + 1]),
                         "lambda_zero": bool(shifts.lambda_zero[k]),
                         "ell": hex(int(shifts.ell[k])), "eta": hex(int(shifts.eta[k])),
                         "v": hex(int(shifts.v[k])) if shifts.v[k] >= 0 else None})
@@ -460,7 +463,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="per-shift predictor vs measured X_alpha")
     _add_common(p)
     _add_g_source(p, with_corpus=True)
-    p.add_argument("--checks", help=f"comma list from {{{','.join(ALL_CHECKS)}}}")
+    p.add_argument("--checks", help="comma list from {autocorr,predictor,genus2,auxcurve}; "
+                                    "autocorr and predictor always run")
     p.add_argument("--selftest-negative", action="store_true",
                    help="flip one prediction to prove mismatches are caught")
     p.set_defaults(func=cmd_verify)

@@ -12,9 +12,9 @@ tables, and a command at another field replaces it.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vexp``,
-``vsolve_quartic``, ``trace_bits``, ``monomial_table``), which act
-elementwise on int64 arrays of elements.  Tests cross-check the tables
+helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vsolve_quartic``,
+``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays
+of elements.  Tests cross-check the tables
 against the shift-xor product ``mul_raw``.
 
 For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
@@ -22,11 +22,12 @@ closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
 
 Trace rows take a shorter path: ``monomial_trace(coef, e)`` gives the bits
 ``Tr(coef * x^e)`` for every x with one gather from the trace table
-``Tr(g^n)``, n in [0, 2(q-1)), offset by ``log(coef)``, at the index array
-``e*log(x) mod (q-1)``.  Truth tables, the auxiliary curve's S7 sum and the
-one-curve point count are XORs of such rows.  The trace table is built on
-first use and each int32 index array the first time its exponent is used
-(4 MB per exponent at m = 20); both stay cached on the context.
+``exp_trace`` of ``Tr(g^n)``, n in [0, 2(q-1)), offset by ``log(coef)``, at
+the index array ``e*log(x) mod (q-1)``.  Truth tables, the auxiliary
+curve's S7 sum and the one-curve point count are XORs of such rows; the
+genus-2 point counts gather from the table too.  It is built on first use
+and each int32 index array the first time its exponent is used (4 MB per
+exponent at m = 20); both stay cached on the context.
 ``monomial_table`` and ``trace_bits`` are its test oracle.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
@@ -189,10 +190,6 @@ class FieldCtx:
         return hash((self.m, self.modulus))
 
     # -- scalar operations --------------------------------------------------
-
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        return x ^ y
 
     def mul_raw(self, x: int, y: int) -> int:
         """Carryless product reduced by the modulus (shift-xor)."""
@@ -358,10 +355,6 @@ class FieldCtx:
             raise ValueError("0 has no discrete logarithm")
         return self._log[x]
 
-    def vexp(self, n) -> np.ndarray:
-        """The table generator raised to the integer powers n."""
-        return self._exp[np.asarray(n, dtype=np.int64) % (self.q - 1)]
-
     @cached_property
     def _quartic_basis(self) -> list[int]:
         basis = np.int64(1) << np.arange(self.m, dtype=np.int64)
@@ -400,7 +393,7 @@ class FieldCtx:
         return out
 
     @cached_property
-    def _exp_trace(self) -> np.ndarray:
+    def exp_trace(self) -> np.ndarray:
         """Tr(g^n) as uint8 for n in [0, 2(q-1)): the traces of the doubled
         antilog table, so an offset index below 2(q-1) needs no reduction."""
         half = self.trace_bits(self._exp[:self.q - 1])
@@ -424,7 +417,7 @@ class FieldCtx:
             raise ValueError("monomial exponent must be >= 1")
         if coef == 0:
             return np.zeros(self.q, dtype=np.uint8)
-        bits = np.take(self._exp_trace[int(self._log[coef]):], self._log_multiple(e))
+        bits = np.take(self.exp_trace[int(self._log[coef]):], self._log_multiple(e))
         bits[0] = 0  # 0^e = 0
         return bits
 

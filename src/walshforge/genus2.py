@@ -17,8 +17,9 @@ one-curve ``radical``, ``classify`` and ``count_points`` are their test
 oracles (``count_points`` also counts the one curve of ``walshforge curve``).
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
-m-sequence, so a curve's row of traces is an XOR of three packed word
-slices, counted by popcount.  It never calls the radical classifier.
+m-sequence read from the cached trace table, so a curve's row of traces is
+an XOR of three packed word slices, counted by popcount.  It never calls
+the radical classifier.
 """
 
 from __future__ import annotations
@@ -109,18 +110,14 @@ def classify(ctx: FieldCtx, curve: QuinticCurve) -> SymplecticData:
     return data
 
 
-def count_points_affine(ctx: FieldCtx, curve: QuinticCurve) -> int:
-    """2 * #{x : Tr(a x^5 + b x^3 + c x + d) = 0} by direct enumeration."""
+def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:
+    """1 + 2 * #{x : Tr(a x^5 + b x^3 + c x + d) = 0} by direct enumeration:
+    two affine points over each such x, one point at infinity."""
     ones = int(np.count_nonzero(ctx.monomial_trace(curve.a, 5)
                                 ^ ctx.monomial_trace(curve.b, 3)
                                 ^ ctx.monomial_trace(curve.c, 1)))
     # a trace-1 d flips every x
-    return 2 * (ctx.q - ones if ctx.trace(curve.d) == 0 else ones)
-
-
-def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:
-    # one point at infinity on the smooth model
-    return count_points_affine(ctx, curve) + 1
+    return 2 * (ctx.q - ones if ctx.trace(curve.d) == 0 else ones) + 1
 
 
 @dataclass
@@ -184,12 +181,12 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     Write x = g^i (i < q - 1) for the table generator g.  With l = log(coef)
     and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
     u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
-    e*shift = l - r (mod q - 1).  Each of these sequences is packed at all 64
-    bit offsets, so the row of a term over all x != 0 is one word slice, and
-    a curve's row is the XOR of three slices.  The rows are gathered for
-    blocks of curves of at most ``BATCH`` words and counted by popcount.  The
-    offset tables hold 2 * 64 words per 64 x for each sequence, 8 MB at
-    m = 17.
+    e*shift = l - r (mod q - 1).  Each u is gathered from the context's
+    cached trace table ``exp_trace`` of Tr(g^n) and packed at all 64 bit
+    offsets, so the row of a term over all x != 0 is one word slice, and a
+    curve's row is the XOR of three slices.  The rows are gathered for blocks
+    of curves of at most ``BATCH`` words and counted by popcount.  The offset
+    tables hold 2 * 64 words per 64 x for each sequence, 8 MB at m = 17.
     """
     n = ctx.q - 1
     n_words = -(-n // 64)
@@ -203,7 +200,7 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
         seq = np.where(coef == 0, 0, len(seqs) + logs % k)
         starts.append((seq * 64 + shift % 64) * width + shift // 64)
-        seqs += [ctx.trace_bits(ctx.vexp(r + e * i)) for r in range(k)]
+        seqs += [ctx.exp_trace[(r + e * i) % n] for r in range(k)]
     first = pack_bits(np.stack(seqs))
     tables = np.empty((len(seqs), 64, width), dtype=np.uint64)
     for o in range(64):  # word j at offset o holds bits o .. o+63 of words j, j+1 at offset 0

@@ -1,4 +1,4 @@
-"""Deterministic, splittable 64-bit generator used for every random corpus.
+"""Deterministic counter-based 64-bit generator used for every random corpus.
 
 The generator is fixed by its update equations so that corpora are portable
 across implementations (no dependence on any library's RNG internals):
@@ -56,7 +56,3 @@ class SplitRng:
             r = self.next_u64()
             if r < lim:
                 return r % n
-
-    def split(self, label: int) -> "SplitRng":
-        """Independent child stream; parent state is not advanced."""
-        return SplitRng(mix64(self._state + GOLDEN + label))

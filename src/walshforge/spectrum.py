@@ -1,9 +1,9 @@
 """Walsh transform of a truth table, spectral norms, and their sanity checks.
 
-The transform pairs points with the coordinate dot product: with
-chi(x) = (-1)^bits[x],
+The transform, an int32 array of length q = 2^m, pairs points with the
+coordinate dot product: with chi(x) = (-1)^bits[x],
 
-    values[v] = sum_x chi(x) * (-1)^parity(v & x).
+    spec[v] = sum_x chi(x) * (-1)^parity(v & x).
 
 The trace pairing Tr(v*x) differs from parity(v & x) by a linear change of
 basis that only permutes the index v, so every norm is the same under either
@@ -12,19 +12,7 @@ convention (asserted by a test, not assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class WalshSpectrum:
-    m: int
-    values: np.ndarray  # q signed integers, int32 (|value| <= q <= 2^20)
-
-    @property
-    def q(self) -> int:
-        return 1 << self.m
 
 
 def _row_butterflies(a: np.ndarray) -> None:
@@ -41,8 +29,8 @@ def _row_butterflies(a: np.ndarray) -> None:
         h *= 2
 
 
-def fwht(table: np.ndarray) -> WalshSpectrum:
-    """Butterfly transform of a 0/1 truth table, O(q log q), as int32 values.
+def fwht(table: np.ndarray) -> np.ndarray:
+    """Butterfly transform of a 0/1 truth table, O(q log q): the int32 spectrum.
 
     Two passes over a 2-D int32 array of the signs (-1)^bits[x], so that every
     stage works on contiguous runs of at least 2^(m//2) elements.  The table
@@ -64,46 +52,47 @@ def fwht(table: np.ndarray) -> WalshSpectrum:
     _row_butterflies(a)
     a = np.ascontiguousarray(a.T)
     _row_butterflies(a)
-    return WalshSpectrum(m=m, values=a.reshape(q))
+    return a.reshape(q)
 
 
-def linf(spec: WalshSpectrum) -> int:
-    return int(np.abs(spec.values).max())
+def linf(spec: np.ndarray) -> int:
+    return int(np.abs(spec).max())
 
 
-def l4_fourth(spec: WalshSpectrum) -> int:
-    """(1/q) * sum of values^4, exact.
+def l4_fourth(spec: np.ndarray) -> int:
+    """(1/q) * sum of spec^4, exact.
 
     The sum can pass int64 (it reaches q^4), so it is taken in Python ints
     over the few distinct amplitudes, weighted by how often each occurs.
     """
-    counts = np.bincount(np.abs(spec.values))
+    q = len(spec)
+    counts = np.bincount(np.abs(spec))
     total = sum(int(k) ** 4 * int(counts[k]) for k in np.flatnonzero(counts))
-    if total % spec.q:
+    if total % q:
         raise AssertionError("sum of fourth powers not divisible by q")
-    return total // spec.q
+    return total // q
 
 
-def nonlinearity(spec: WalshSpectrum, lv: int | None = None) -> int:
+def nonlinearity(spec: np.ndarray, lv: int | None = None) -> int:
     """2^(m-1) - linf/2; pass ``lv`` when ``linf(spec)`` is already known."""
-    return (1 << (spec.m - 1)) - (linf(spec) if lv is None else lv) // 2
+    return len(spec) // 2 - (linf(spec) if lv is None else lv) // 2
 
 
-def parseval_sum(spec: WalshSpectrum) -> int:
-    """sum of values^2, which Parseval fixes at q^2.
+def parseval_sum(spec: np.ndarray) -> int:
+    """sum of spec^2, which Parseval fixes at q^2.
 
-    |values| <= q, so the sum is at most q^3: exact once widened to int64
+    |spec| <= q, so the sum is at most q^3: exact once widened to int64
     (through m = 20), where an int32 square would overflow from m = 16.
     """
-    v = spec.values.astype(np.int64)
+    v = spec.astype(np.int64)
     return int(np.dot(v, v))
 
 
-def parseval_ok(spec: WalshSpectrum) -> bool:
-    return parseval_sum(spec) == spec.q * spec.q
+def parseval_ok(spec: np.ndarray) -> bool:
+    return parseval_sum(spec) == len(spec) ** 2
 
 
-def divisibility_check(spec: WalshSpectrum, d: int) -> dict:
+def divisibility_check(spec: np.ndarray, d: int) -> dict:
     """Whether 2^ceil(m/d) divides the max amplitude.
 
     Per-value divisibility over the whole spectrum is reported as
@@ -112,11 +101,12 @@ def divisibility_check(spec: WalshSpectrum, d: int) -> dict:
     """
     if d < 1:
         raise ValueError("binary degree d must be >= 1")
-    divisor = 1 << (-(-spec.m // d))
+    m = len(spec).bit_length() - 1
+    divisor = 1 << (-(-m // d))
     lv = linf(spec)
     return {
         "divisor": divisor,
         "linf": lv,
         "divides": lv % divisor == 0,
-        "all_values_divisible": bool((spec.values % divisor == 0).all()),
+        "all_values_divisible": bool((spec % divisor == 0).all()),
     }

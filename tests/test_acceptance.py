@@ -14,8 +14,8 @@ import pytest
 
 from walshforge.autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from walshforge.boolfn import TracePoly, truth_table
-from walshforge.classify7 import (check_linf_upper, check_sigma_bound, classify_alpha,
-                                  count_n0_n, predict_x_alpha)
+from walshforge.classify7 import (check_linf_upper, check_sigma_bound, classify_all,
+                                  classify_alpha, count_n0_n)
 from walshforge.cli import main as cli_main
 from walshforge.corpus import curve_corpus, mixed_corpus, standard_corpus
 from walshforge.field import FieldCtx
@@ -101,7 +101,7 @@ def test_02_trichotomy_exhaustive(verdict, corpus_tables):
         q = data["ctx"].q
         allowed = {0, 2 * q, 8 * q}
         for e in data["entries"]:
-            vals = set(int(v) for v in e["table"].x[1:])
+            vals = set(int(v) for v in e["table"][1:])
             if not vals <= allowed:
                 bad += 1
     verdict(2, "x-alpha-trichotomy", bad == 0)
@@ -115,7 +115,7 @@ def test_03_predictor_oracle(verdict, corpus_tables):
             table = e["table"]
             for alpha in range(1, ctx.q):
                 pairs += 1
-                if predict_x_alpha(ctx, e["g"], alpha) != int(table.x[alpha]):
+                if classify_alpha(ctx, e["g"], alpha).predicted != int(table[alpha]):
                     mismatches += 1
     verdict(3, "predictor-oracle-agreement", mismatches == 0,
             f"{pairs} (G, alpha) pairs")
@@ -175,7 +175,7 @@ def test_06b_lower_bound_refined_m15(verdict):
     table = x_alpha_all(ctx, g)
     identity_ok = sigma_autocorr(table) == l4_fourth(spec)
     mismatches = sum(1 for alpha in range(1, ctx.q)
-                     if predict_x_alpha(ctx, g, alpha) != int(table.x[alpha]))
+                     if classify_alpha(ctx, g, alpha).predicted != int(table[alpha]))
     elapsed = time.monotonic() - t0
     ok = lv >= 2 ** 8 + 2 ** 5 and identity_ok and mismatches == 0 and elapsed < 1800
     verdict(6, "refined-lower-bound-m15-full-verify", ok,
@@ -198,7 +198,7 @@ def test_07_curve_classification_oracle(verdict):
             b = rng.below(ctx.q)
             x = rng.below(ctx.q)
             p = p_poly(ctx, a, b, x)
-            rhs = ctx.mul(ctx.mul(x, p), ctx.add(1, ctx.mul(ctx.pow(x, 5), p)))
+            rhs = ctx.mul(ctx.mul(x, p), 1 ^ ctx.mul(ctx.pow(x, 5), p))
             if e_poly(ctx, a, b, x) != rhs:
                 bad_factor += 1
     verdict(7, "curve-count-oracle", bad_member + bad_parity + bad_factor == 0,
@@ -243,7 +243,7 @@ def test_09_auxiliary_curve(verdict):
                 res = count_n123(ctx, g, pts)
                 if not all(c.passed for c in res["bounds"] if c.hard):
                     bad += 1
-                if res["N_assembled"] != count_n0_n(ctx, g)["N"]:
+                if res["N_assembled"] != count_n0_n(ctx, g, classify_all(ctx, g))["N"]:
                     bad += 1
                 checked += 1
     verdict(9, "auxiliary-curve-counts-and-bounds", bad == 0,

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walshforge.autocorr import sigma_decomposition, x_alpha, x_alpha_all
+from walshforge.autocorr import sigma_decomposition, x_alpha_all
 from walshforge.boolfn import TracePoly
 from walshforge.classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
-                                  classify_alpha, count_n0_n, eta_of_alpha,
-                                  pair_zero_count, predict_x_alpha)
+                                  classify_all, classify_alpha, count_n0_n, eta_of_alpha,
+                                  pair_zero_count)
 from walshforge.field import FieldCtx
 from walshforge.rng import SplitRng
 
@@ -33,7 +33,7 @@ def test_predictor_matches_brute_force_exhaustive(m, a7, bs):
     g = TracePoly(a7=a7, b=bs)
     table = x_alpha_all(ctx, g)
     for alpha in range(1, ctx.q):
-        assert predict_x_alpha(ctx, g, alpha) == int(table.x[alpha])
+        assert classify_alpha(ctx, g, alpha).predicted == int(table[alpha])
 
 
 def test_classification_fields(ctx5):
@@ -52,7 +52,7 @@ def test_classification_fields(ctx5):
             assert c.v is None
         else:
             # quartic split: v^4 + v = ell
-            lhs = ctx5.add(ctx5.pow(c.v, 4), c.v)
+            lhs = ctx5.pow(c.v, 4) ^ c.v
             assert lhs == c.ell
             assert c.predicted in (0, 8 * ctx5.q)
     assert seen == {0, 64, 256}
@@ -79,9 +79,9 @@ def test_conjunction_invariant_under_v_shift(ctx7):
         if c.v is None:
             continue
         eta, v = c.eta, c.v
-        for w in (v, ctx7.add(v, 1)):
+        for w in (v, v ^ 1):
             t1 = ctx7.trace(ctx7.mul(eta, ctx7.pow(w, 3)))
-            t2 = ctx7.trace(ctx7.mul(eta, ctx7.add(ctx7.mul(w, w), w)))
+            t2 = ctx7.trace(ctx7.mul(eta, ctx7.mul(w, w) ^ w))
             verdict = 8 * ctx7.q if (t1 == 1 and t2 == 1) else 0
             assert verdict == c.predicted
 
@@ -89,7 +89,7 @@ def test_conjunction_invariant_under_v_shift(ctx7):
 def test_count_n0_n_matches_decomposition(ctx7):
     for a7, bs in ((1, ()), (11, (4, 2)), (100, (0, 0, 7))):
         g = TracePoly(a7=a7, b=bs)
-        counted = count_n0_n(ctx7, g)
+        counted = count_n0_n(ctx7, g, classify_all(ctx7, g))
         measured = sigma_decomposition(x_alpha_all(ctx7, g))
         assert (counted["N0"], counted["N"], counted["Z"]) == (
             measured["N0"], measured["N"], measured["Z"])

@@ -323,6 +323,9 @@ def test_curve_a_zero_exits_2(capsys):
     ["analyze", "--m", "5", "--checks", " ", "--g", '{"a7":"0x1"}'],
     ["verify", "--m", "5", "--checks", ",", "--count", "1"],
     ["verify", "--m", "5", "--checks", " ", "--count", "1"],
+    # verify runs no spectrum or bounds check, so naming one would pass vacuously too
+    ["verify", "--m", "5", "--checks", "bounds", "--count", "1"],
+    ["verify", "--m", "5", "--checks", "spectrum,genus2", "--count", "1"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]

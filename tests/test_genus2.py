@@ -6,7 +6,7 @@ import pytest
 from walshforge.boolfn import TracePoly, reduce_difference
 from walshforge.corpus import curve_corpus, sample_curve
 from walshforge.field import FieldCtx
-from walshforge.genus2 import (QuinticCurve, classify, count_points, count_points_affine,
+from walshforge.genus2 import (QuinticCurve, classify, count_points,
                                curve_from_json, curve_to_dict, e_poly, maisner_nart_w,
                                normalize_ab, p_poly, radical)
 from walshforge.rng import SplitRng
@@ -47,7 +47,7 @@ def test_factorization_identity_random(ctx7):
         x = rng.below(ctx7.q)
         p = p_poly(ctx7, a, b, x)
         rhs = ctx7.mul(ctx7.mul(x, p),
-                       ctx7.add(1, ctx7.mul(ctx7.pow(x, 5), p)))
+                       1 ^ ctx7.mul(ctx7.pow(x, 5), p))
         assert e_poly(ctx7, a, b, x) == rhs
 
 
@@ -57,7 +57,7 @@ def test_radical_is_kernel(ctx5):
     # every span element must vanish under E, and the count must be exactly 2^w
     span = {0}
     for v in data.W_basis:
-        span |= {ctx5.add(s, v) for s in span}
+        span |= {s ^ v for s in span}
     assert len(span) == 2 ** data.w
     assert all(e_poly(ctx5, cv.a, cv.b, x) == 0 for x in span)
     kernel = [x for x in range(32) if e_poly(ctx5, cv.a, cv.b, x) == 0]
@@ -91,7 +91,7 @@ def test_count_affine_vs_scalar(ctx5):
     # q_form carries the d-less trace; the constant term shifts it by Tr(d)
     brute = sum(2 for x in range(32)
                 if q_form(ctx5, cv, x) ^ ctx5.trace(cv.d) == 0)
-    assert count_points_affine(ctx5, cv) == brute == 40
+    assert count_points(ctx5, cv) - 1 == brute == 40
 
 
 @pytest.mark.parametrize("m", [5, 7, 9])

@@ -27,15 +27,6 @@ def test_below_range_and_coverage():
     assert set(draws) == set(range(10))
 
 
-def test_split_does_not_advance_parent():
-    parent = SplitRng(42)
-    expect = SplitRng(42).next_u64()
-    child = parent.split(1)
-    other = parent.split(2)
-    assert child.next_u64() != other.next_u64()
-    assert parent.next_u64() == expect
-
-
 def test_derive_seed_order_sensitive():
     assert derive_seed(1, 2) != derive_seed(2, 1)
     assert derive_seed(0) != derive_seed(0, 0)

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
-from walshforge.spectrum import (WalshSpectrum, divisibility_check, fwht, l4_fourth,
-                                 linf, nonlinearity, parseval_ok, parseval_sum)
+from walshforge.spectrum import (divisibility_check, fwht, l4_fourth, linf, nonlinearity,
+                                 parseval_ok, parseval_sum)
 
 
 def walsh_double_sum(table, v):
@@ -37,14 +37,14 @@ def test_fwht_matches_stage_by_stage_reference(m, seed, density):
     # m = 0 and 1 leave a pass empty; odd m gives the two passes different lengths
     table = (np.random.default_rng(seed).random(1 << m) < density).astype(np.uint8)
     spec = fwht(table)
-    assert spec.m == m and spec.values.dtype == np.int32
-    np.testing.assert_array_equal(spec.values, fwht_stages(table))
+    assert isinstance(spec, np.ndarray) and spec.dtype == np.int32 and len(spec) == 1 << m
+    np.testing.assert_array_equal(spec, fwht_stages(table))
 
 
 def test_fwht_is_exact_at_the_largest_field():
-    # values[0] = q = 2^20; its square and fourth power overflow int32 and int64
+    # spec[0] = q = 2^20; its square and fourth power overflow int32 and int64
     spec = fwht(np.zeros(1 << 20, dtype=np.uint8))
-    assert int(spec.values[0]) == 2**20
+    assert int(spec[0]) == 2**20
     assert parseval_sum(spec) == 2**40
     assert l4_fourth(spec) == 2**60
 
@@ -55,7 +55,7 @@ def test_tr_x3_m3_spectrum(ctx3):
     assert linf(spec) == 4
     assert nonlinearity(spec) == 2
     assert l4_fourth(spec) == 128
-    assert sorted(set(abs(int(v)) for v in spec.values)) == [0, 4]
+    assert sorted(set(abs(int(v)) for v in spec)) == [0, 4]
 
 
 @given(st.binary(min_size=16, max_size=16))
@@ -63,7 +63,7 @@ def test_fwht_matches_double_sum(blob):
     table = np.frombuffer(blob, dtype=np.uint8) & 1
     spec = fwht(table)
     for v in range(16):
-        assert int(spec.values[v]) == walsh_double_sum(table, v)
+        assert int(spec[v]) == walsh_double_sum(table, v)
 
 
 @given(st.binary(min_size=32, max_size=32))
@@ -71,7 +71,7 @@ def test_parseval(blob):
     table = np.frombuffer(blob, dtype=np.uint8) & 1
     spec = fwht(table)
     assert parseval_ok(spec)
-    assert int((spec.values.astype(np.int64) ** 2).sum()) == 1024
+    assert int((spec.astype(np.int64) ** 2).sum()) == 1024
 
 
 def affine_distance_nl(table, m):
@@ -106,14 +106,14 @@ def test_l4_bounds_on_corpus(ctx7):
 
 def test_m5_x7_value_multiset(ctx5):
     spec = fwht(truth_table(ctx5, TracePoly(a7=1)))
-    vals = sorted(int(v) for v in spec.values)
+    vals = sorted(int(v) for v in spec)
     assert vals.count(0) == 16
     assert sorted(set(abs(v) for v in vals)) == [0, 8]
     # trace pairing: f(x) and f(x^2) have permuted spectra, so the multiset
     # of absolute values is invariant under squaring the input
     tt_sq = np.array([ctx5.trace(ctx5.pow(ctx5.mul(x, x), 7)) for x in range(32)],
                      dtype=np.uint8)
-    vals_sq = sorted(abs(int(v)) for v in fwht(tt_sq).values)
+    vals_sq = sorted(abs(int(v)) for v in fwht(tt_sq))
     assert vals_sq == sorted(abs(v) for v in vals)
 
 
