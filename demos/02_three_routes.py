@@ -10,9 +10,8 @@ consistency argument of this package.
 
 from collections import Counter
 
-from walshforge import (FieldCtx, TracePoly, classify_all, classify_alpha, count_n0_n,
-                        fwht, l4_fourth, sigma_autocorr, sigma_decomposition,
-                        truth_table, x_alpha_all)
+from walshforge import (FieldCtx, TracePoly, classify_all, count_n0_n, fwht, l4_fourth,
+                        sigma_autocorr, sigma_decomposition, truth_table, x_alpha_all)
 
 ctx = FieldCtx(7)
 g = TracePoly(a7=0x5, b=(0x1, 0x4))
@@ -25,8 +24,10 @@ sigma_spectral = l4_fourth(fwht(truth_table(ctx, g)))
 table = x_alpha_all(ctx, g)
 sigma_shift = sigma_autocorr(table)
 
-# route 3: classify every shift algebraically, then assemble
-counts = count_n0_n(ctx, g, classify_all(ctx, g))
+# route 3: classify every shift algebraically, then assemble; entry k of the
+# shift arrays is alpha = k + 1
+shifts = classify_all(ctx, g)
+counts = count_n0_n(ctx, g, shifts)
 sigma_counts = q * q + 2 * q * counts["N0"] + 8 * q * counts["N"]
 
 print(f"spectral route : {sigma_spectral}")
@@ -39,15 +40,16 @@ hist = Counter(int(v) for v in table[1:])
 print(f"X_alpha histogram: {dict(sorted(hist.items()))}")
 print(f"decomposition    : {sigma_decomposition(table)}")
 
-# look at one shift of each kind in detail
+# look at one shift of each kind in detail; v = -1 marks Tr(ell) = 1, where
+# v^4 + v = ell has no root
 want = {0, 2 * q, 8 * q}
 for alpha in range(1, q):
-    x_val = int(table[alpha])
+    x_val, k = int(table[alpha]), alpha - 1
     if x_val in want:
         want.discard(x_val)
-        c = classify_alpha(ctx, g, alpha)
-        how = "degenerate fiber" if c.lambda_zero else (
-            "Tr(ell)=1" if c.trace_ell else "quartic test")
-        print(f"alpha={alpha:#4x}: X={x_val:4d}, predicted={c.predicted:4d}  via {how}")
+        how = "degenerate fiber" if shifts.lambda_zero[k] else (
+            "Tr(ell)=1" if shifts.v[k] < 0 else "quartic test")
+        print(f"alpha={alpha:#4x}: X={x_val:4d}, predicted={int(shifts.predicted[k]):4d}"
+              f"  via {how}")
     if not want:
         break

@@ -12,33 +12,38 @@ cross-check each other:
 * combinatorial: shift sums X_alpha evaluated by direct summation;
 * geometric: point counts of the quintic Artin-Schreier curves attached to
   each nonzero shift, plus a single auxiliary curve v^4 + v = gamma*x^7.
+
+The names exported here are the ones the command line runs.  The one-shift
+scalar forms that only tests compare against (``classify7.classify_alpha``,
+``boolfn.reduce_difference`` and the oracles in ``tests/oracles.py``) are
+not part of this API.
 """
 
 from .field import FieldCtx, default_modulus
 from .rng import SplitRng, derive_seed
-from .boolfn import TracePoly, eval_g, reduce_difference, reduce_difference_all, truth_table
+from .boolfn import TracePoly, reduce_difference_all, truth_table
 from .spectrum import fwht, l4_fourth, linf, nonlinearity
 from .autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from .genus2 import (QuinticCurve, classify, classify_curves, count_points, count_points_all,
-                     maisner_nart_w, normalize_ab, radical)
-from .classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
+                     radical)
+from .classify7 import classify_all, count_n0_n
 from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
-from .corpus import curve_corpus, mixed_corpus, sample_curve, sample_tracepoly, standard_corpus
+from .corpus import curve_corpus, sample_curve, sample_tracepoly, standard_corpus
 from .report import Check, Report, compare, slack_bound
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "FieldCtx", "default_modulus",
     "SplitRng", "derive_seed",
-    "TracePoly", "eval_g", "reduce_difference", "reduce_difference_all", "truth_table",
+    "TracePoly", "reduce_difference_all", "truth_table",
     "fwht", "l4_fourth", "linf", "nonlinearity",
     "sigma_autocorr", "sigma_decomposition", "x_alpha_all",
     "QuinticCurve", "classify", "classify_curves", "count_points", "count_points_all",
-    "maisner_nart_w", "normalize_ab", "radical",
-    "classify_all", "classify_alpha", "count_n0_n", "eta_of_alpha",
+    "radical",
+    "classify_all", "count_n0_n",
     "count_n123", "enumerate_points", "gamma_of", "s7_sum",
-    "curve_corpus", "mixed_corpus", "sample_curve", "sample_tracepoly", "standard_corpus",
+    "curve_corpus", "sample_curve", "sample_tracepoly", "standard_corpus",
     "Check", "Report", "compare", "slack_bound",
     "__version__",
 ]

@@ -33,14 +33,6 @@ from .field import BATCH, FieldCtx, pack_bits, popcount
 X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
 
 
-def x_alpha_from_bits(bits: np.ndarray, alpha: int) -> int:
-    q = len(bits)
-    if not 0 < alpha < q:
-        raise ValueError(f"alpha={alpha} outside 1..q-1")
-    mism = int((bits ^ bits[np.arange(q) ^ alpha]).sum())
-    return (q - 2 * mism) ** 2
-
-
 def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
     """The X_alpha table; about q^2 / 128 word operations."""
     if ctx.m > X_ALPHA_MAX_M:

@@ -21,10 +21,10 @@ reassembles the number N of shifts with X_alpha = 8q:
 
     N = (N1 + N2 + N3 - len(points)) / 4.
 
-The same trace conditions also arise from rational functions pulled along
-the curve; ``f_on_curve`` / ``g_on_curve`` evaluate those directly so the
-equalities Tr(f) = Tr(eta*v^3), Tr(g) = Tr(eta*(v^2+v)) are themselves
-testable rather than assumed.
+The same trace conditions also arise from rational functions f, g pulled
+along the curve; the test oracles in ``tests/oracles.py`` evaluate those
+directly, so the equalities Tr(f) = Tr(eta*v^3), Tr(g) = Tr(eta*(v^2+v)) are
+themselves tested rather than assumed.
 
 ``s7_sum``, ``enumerate_points`` and ``count_n123`` are whole-field array
 passes over every x (or every point) at once; the points are one (n, 2)
@@ -70,28 +70,6 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
 
 def gamma_of(ctx: FieldCtx, g: TracePoly) -> int:
     return ctx.kth_root(ctx.inv(g.a7), 3)
-
-
-def f_on_curve(ctx: FieldCtx, g: TracePoly, x: int, v: int) -> int:
-    """v^3 + sum_i (v^(3*2^i)+v^3)*b_i*x^(-3-3*2^i) + (v^6+v^12)*a7*x^(-21)."""
-    out = ctx.pow(v, 3)
-    for i, bi in enumerate(g.b):
-        if bi:
-            out ^= ctx.mul(ctx.pow(v, 3 << i) ^ ctx.pow(v, 3),
-                           ctx.mul(bi, ctx.pow(x, -(3 + 3 * (1 << i)))))
-    out ^= ctx.mul(ctx.pow(v, 6) ^ ctx.pow(v, 12), ctx.mul(g.a7, ctx.pow(x, -21)))
-    return out
-
-
-def g_on_curve(ctx: FieldCtx, g: TracePoly, x: int, v: int) -> int:
-    """a7*gamma^2*x^(-7) + sum_i b_i*x^(-3(1+2^i))*(v^(2^(i+1))+v^(2^i)+v^2+v)."""
-    gamma = gamma_of(ctx, g)
-    out = ctx.mul(ctx.mul(g.a7, ctx.pow(gamma, 2)), ctx.pow(x, -7))
-    for i, bi in enumerate(g.b):
-        if bi:
-            vb = ctx.pow(v, 1 << (i + 1)) ^ ctx.pow(v, 1 << i) ^ ctx.pow(v, 2) ^ v
-            out ^= ctx.mul(ctx.mul(bi, ctx.pow(x, -(3 * (1 + (1 << i))))), vb)
-    return out
 
 
 def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints) -> dict:

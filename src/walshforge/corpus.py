@@ -26,12 +26,5 @@ def standard_corpus(q: int, count: int, s: int, seed: int) -> list[TracePoly]:
             for i in range(count)]
 
 
-def mixed_corpus(q: int, count: int, s_values: tuple[int, ...], seed: int) -> list[TracePoly]:
-    """Cycle through s_values so every declared size is represented."""
-    return [sample_tracepoly(SplitRng(derive_seed(seed, q, s_values[i % len(s_values)], i)),
-                             q, s_values[i % len(s_values)])
-            for i in range(count)]
-
-
 def curve_corpus(q: int, count: int, seed: int) -> list[QuinticCurve]:
     return [sample_curve(SplitRng(derive_seed(seed, q, 5, i)), q) for i in range(count)]

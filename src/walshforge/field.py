@@ -193,15 +193,7 @@ class FieldCtx:
 
     def mul_raw(self, x: int, y: int) -> int:
         """Carryless product reduced by the modulus (shift-xor)."""
-        m, mod, r = self.m, self.modulus, 0
-        while y:
-            if y & 1:
-                r ^= x
-            y >>= 1
-            x <<= 1
-            if (x >> m) & 1:
-                x ^= mod
-        return r
+        return _pm_mulmod(x, y, self.modulus)
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -9,7 +9,8 @@ radical W equal to the kernel in the field of the linearized polynomial
 With w = dim W, the point count over GF(2^m) is 1 + q when Q does not vanish
 on all of W, and 1 + q +- sqrt(2^w q) otherwise; w == m (mod 2).  For curves
 in a = b normal form the Maisner-Nart criterion reads w off the trace of
-ell = (1 + z^-4)^(1/3) at a root z of P.
+ell = (1 + z^-4)^(1/3) at a root z of P; that second route to w, with the
+rescaling to a = b form, is a test oracle in ``tests/oracles.py``.
 
 ``classify_curves`` and ``count_points_all`` do the radical, the predicted
 counts and the point count for a whole array of curves at once; the
@@ -70,10 +71,6 @@ def e_poly(ctx: FieldCtx, a: int, b: int, x: int) -> int:
             ^ ctx.mul(ctx.pow(b, 4), ctx.pow(x, 8))
             ^ ctx.mul(ctx.pow(b, 2), ctx.pow(x, 2))
             ^ ctx.mul(a, x))
-
-
-def p_poly(ctx: FieldCtx, a: int, b: int, x: int) -> int:
-    return ctx.mul(ctx.pow(a, 2), ctx.pow(x, 5)) ^ ctx.mul(ctx.pow(b, 2), x) ^ a
 
 
 def radical(ctx: FieldCtx, curve: QuinticCurve) -> SymplecticData:
@@ -220,44 +217,6 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     # x = 0 contributes Tr(d); a trace-1 d flips every other x
     zeros = np.where(ctx.trace_bits(d) == 0, n - ones + 1, ones)
     return 2 * zeros + 1
-
-
-def normalize_ab(ctx: FieldCtx, curve: QuinticCurve) -> tuple[QuinticCurve, int]:
-    """Rescale x -> lam*x with lam = sqrt(b/a), giving an a = b curve.
-
-    Returns (normalized curve, lam).  The substitution is a bijection of the
-    field, so affine point counts and w are preserved.  Requires b != 0.
-    """
-    if curve.b == 0:
-        raise ValueError("normalize_ab needs b != 0 (b = 0 is already the degenerate branch)")
-    lam = ctx.sqrt(ctx.mul(curve.b, ctx.inv(curve.a)))
-    nc = QuinticCurve(
-        a=ctx.mul(curve.a, ctx.pow(lam, 5)),
-        b=ctx.mul(curve.b, ctx.pow(lam, 3)),
-        c=ctx.mul(curve.c, lam),
-        d=curve.d,
-    )
-    if nc.a != nc.b:
-        raise AssertionError("normalization failed to reach a = b form")
-    return nc, lam
-
-
-def maisner_nart_w(ctx: FieldCtx, curve: QuinticCurve, z: int) -> dict:
-    """w from a P-root z: w = 3 iff Tr(ell) = 0 with ell^3 = 1 + z^-4.
-
-    Two accepted shapes: a = b != 0 (normal form), or b = 0 where
-    P = a^2 x^5 + a has the single root z = (1/a)^(1/5) and w = 1, ell = 1.
-    """
-    if ctx.m % 2 == 0:
-        raise ValueError("maisner_nart_w requires odd m")
-    if p_poly(ctx, curve.a, curve.b, z) != 0:
-        raise ValueError(f"z={z:#x} is not a root of P for this curve")
-    if curve.b == 0:
-        return {"w": 1, "ell": 1}
-    if curve.a != curve.b:
-        raise ValueError("curve must be in a = b normal form (see normalize_ab) or have b = 0")
-    ell = ctx.kth_root(1 ^ ctx.inv(ctx.pow(z, 4)), 3)
-    return {"w": 3 if ctx.trace(ell) == 0 else 1, "ell": ell}
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ from walshforge.boolfn import TracePoly, truth_table
 from walshforge.classify7 import (check_linf_upper, check_sigma_bound, classify_all,
                                   classify_alpha, count_n0_n)
 from walshforge.cli import main as cli_main
-from walshforge.corpus import curve_corpus, mixed_corpus, standard_corpus
+from walshforge.corpus import curve_corpus, standard_corpus
 from walshforge.field import FieldCtx
-from walshforge.genus2 import classify, count_points, e_poly, p_poly
+from walshforge.genus2 import classify, count_points, e_poly
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.rng import SplitRng
 from walshforge.spectrum import fwht, l4_fourth, linf
+
+from oracles import mixed_corpus, p_poly
 
 CORPUS_SEED = 0x0ACCE001   # criteria 1, 2, 3, 5, 6, 8
 BOUND_SEED = 0x0ACCE004    # criterion 4 (and the m=13 rows of 5, 6)

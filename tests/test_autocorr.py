@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from walshforge.autocorr import (sigma_autocorr, sigma_decomposition, x_alpha_all,
-                                 x_alpha_from_bits)
+from walshforge.autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from walshforge.boolfn import TracePoly, eval_g, truth_table
 from walshforge.field import FieldCtx
 from walshforge.spectrum import fwht, l4_fourth
+
+from oracles import x_alpha_from_bits
 
 
 def x_alpha_scalar(ctx, g, alpha):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from walshforge.auxcurve import (count_n123, enumerate_points, f_on_curve,
-                                 g_on_curve, gamma_of, s7_sum)
+from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.boolfn import TracePoly
 from walshforge.classify7 import classify_all, count_n0_n, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.rng import SplitRng
+
+from oracles import f_on_curve, g_on_curve
 
 
 def test_m3_reference_values(ctx3):

@@ -16,13 +16,15 @@ from hypothesis import given, settings, strategies as st
 import walshforge.autocorr as autocorr
 import walshforge.field as field
 import walshforge.genus2 as genus2
-from walshforge.autocorr import x_alpha_all, x_alpha_from_bits
+from walshforge.autocorr import x_alpha_all
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all, truth_table
 from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
                                count_points_all)
+
+from oracles import x_alpha_from_bits
 
 CTX = {m: FieldCtx(m) for m in range(3, 12)}
 CTX_13 = FieldCtx(13)

@@ -1,14 +1,17 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import walshforge.cli as cli
+from walshforge.classify7 import classify_all
 from walshforge.cli import SLOW_M, main
 from walshforge.field import FieldCtx, default_modulus
 
@@ -113,6 +116,114 @@ def test_verify_mismatch_without_genus2_has_no_curve(capsys):
                          "predictor", "--selftest-negative")
     rec = doc["summary"]["mismatches"][0]
     assert code == 1 and "eta" in rec and "curve" not in rec and "w" not in rec
+
+
+# -- negative controls: one corrupted alpha per route must fail a named check ----
+
+CONTROL_G = '{"a7":"0x5","b":{"1":"0x6","2":"0x2"},"s":2}'
+CONTROL_ARGV = {cmd: (cmd, "--m", "7", "--g", CONTROL_G) for cmd in ("analyze", "verify")}
+
+
+def _first(mask) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _x_alpha_swapped(real):
+    def corrupt(ctx, g):  # one 2q shift read as 0, still inside the trichotomy
+        table = real(ctx, g).copy()
+        table[1 + _first(table[1:] == 2 * ctx.q)] = 0
+        return table
+    return corrupt
+
+
+def _x_alpha_outside(real):
+    def corrupt(ctx, g):  # one 0 shift read as q, outside {0, 2q, 8q}
+        table = real(ctx, g).copy()
+        table[1 + _first(table[1:] == 0)] = ctx.q
+        return table
+    return corrupt
+
+
+def _count_moved(real):
+    def corrupt(ctx, a, b, c, d):  # |count - q - 1| changes at alpha = 1
+        counts = real(ctx, a, b, c, d).copy()
+        counts[0] += 2
+        return counts
+    return corrupt
+
+
+def _radius_moved(real):
+    def corrupt(ctx, a, b, c):
+        curves = real(ctx, a, b, c)
+        radius = curves.radius.copy()
+        radius[0] += 1  # never a power of two or 0 again: |dev| cannot match it
+        return dataclasses.replace(curves, radius=radius)
+    return corrupt
+
+
+def _fibre_dropped(real):
+    def corrupt(ctx, gamma):  # the two points above the first x lost
+        pts = real(ctx, gamma)
+        return dataclasses.replace(pts, points=pts.points[2:], count_total=pts.count_total - 2)
+    return corrupt
+
+
+def _n_fibre_dropped(real):
+    def corrupt(ctx, g, pts):  # the fibre of one 8q shift alpha = x^(-3) unseen
+        predicted = classify_all(ctx, g).predicted
+        alpha = 1 + _first(predicted == 8 * ctx.q)
+        x = ctx.kth_root(ctx.inv(alpha), 3)
+        keep = pts.points[:, 0] != x
+        assert np.count_nonzero(~keep) == 2
+        return real(ctx, g, dataclasses.replace(pts, points=pts.points[keep]))
+    return corrupt
+
+
+def _spectrum_moved(real):
+    def corrupt(table):  # +q keeps the fourth-power sum divisible by q
+        spec = real(table).copy()
+        spec[0] += len(spec)
+        return spec
+    return corrupt
+
+
+# (route function imported into cli, corruption, failing checks in analyze and
+# in verify); verify runs no parseval check, so there the spectrum is caught
+# by the sigma4 cross-path check
+NEGATIVE_CONTROLS = [
+    ("x_alpha_all", _x_alpha_swapped, {"sigma4_cross_path"}, {"sigma4_cross_path"}),
+    ("x_alpha_all", _x_alpha_outside, {"x_alpha_trichotomy"}, {"x_alpha_trichotomy"}),
+    ("count_points_all", _count_moved, {"curve_count_membership", "curve_count_bridge"},
+     {"curve_count_membership", "curve_count_bridge"}),
+    ("classify_curves", _radius_moved, {"curve_count_membership"},
+     {"curve_count_membership"}),
+    ("enumerate_points", _fibre_dropped, {"aux_count_identity"}, {"aux_count_identity"}),
+    ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}, {"aux_n_assembly"}),
+    ("fwht", _spectrum_moved, {"parseval"}, {"sigma4_cross_path"}),
+]
+
+
+def _failed(doc) -> set[str]:
+    return {c["name"].split("[")[0] for c in doc["checks"] if c["hard"] and not c["pass"]}
+
+
+@pytest.mark.parametrize("cmd", sorted(CONTROL_ARGV))
+def test_negative_control_input_passes_unpatched(capsys, cmd):
+    code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
+    assert code == 0 and not _failed(doc)
+
+
+@pytest.mark.parametrize("cmd", sorted(CONTROL_ARGV))
+@pytest.mark.parametrize("route,corruption,in_analyze,in_verify", NEGATIVE_CONTROLS,
+                         ids=[f"{r}-{c.__name__.strip('_')}"
+                              for r, c, *_ in NEGATIVE_CONTROLS])
+def test_negative_control_fails_named_check(capsys, monkeypatch, cmd, route, corruption,
+                                            in_analyze, in_verify):
+    monkeypatch.setattr(cli, route, corruption(getattr(cli, route)))
+    code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
+    failed = _failed(doc)
+    assert code == 1
+    assert (in_analyze if cmd == "analyze" else in_verify) <= failed, failed
 
 
 @pytest.mark.parametrize("argv", [
@@ -362,13 +473,38 @@ G_JSON = st.fixed_dictionaries({"a7": COEF}, optional={
 CURVE_JSON = st.fixed_dictionaries({k: COEF for k in "abcd"}, optional={"x": JSON_VALUES})
 
 
-@settings(max_examples=50, deadline=None)
-@given(m=st.integers(2, 7), cmd=st.sampled_from(["analyze", "curve"]),
-       g=G_JSON, curve=CURVE_JSON, missing_out=st.booleans())
-def test_generated_inputs_never_raise(tmp_path_factory, m, cmd, g, curve, missing_out):
+# every CLI argument; fields stay at m <= 9 and corpora at --count <= 2, so an
+# example that is not refused outright still finishes well inside the deadline
+MODULUS = st.sampled_from(["0x25", "0x29", "0x83", "0x211", "0x27", "0x82", "0x3", "0x1",
+                           "0", "-0x25", "25", "zz", ""])
+INT_ARG = st.integers(-2, 9).map(str) | st.sampled_from(["0x1", "1.5", "zz", ""])
+SEED_ARG = (st.integers(-2 ** 65, 2 ** 65).map(str)
+            | st.sampled_from(["0x0", "0xffffffffffffffff", "0b101", "-0x5", "zz", ""]))
+COUNT_ARG = st.integers(-1, 2).map(str) | st.sampled_from(["0x2", "zz", ""])
+CHECKS_ARG = st.lists(st.sampled_from([*cli.ALL_CHECKS, "spectru", "", " "]),
+                      max_size=4).map(",".join)
+OPTIONS = st.fixed_dictionaries({}, optional={
+    "--modulus": MODULUS, "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--seed": SEED_ARG, "--count": COUNT_ARG, "--s": INT_ARG, "--checks": CHECKS_ARG})
+ACCEPTS = {"analyze": {"--modulus", "--format", "--checks"},
+           "scan": {"--modulus", "--format", "--seed", "--count", "--s"},
+           "verify": {"--modulus", "--format", "--seed", "--count", "--s", "--checks"},
+           "curve": {"--modulus", "--format"}}
+
+
+@settings(max_examples=100, deadline=2000)
+@given(m=st.integers(2, 9), cmd=st.sampled_from(sorted(ACCEPTS)), options=OPTIONS,
+       g=G_JSON, with_g=st.booleans(), curve=CURVE_JSON, missing_out=st.booleans())
+def test_generated_inputs_never_raise(tmp_path_factory, m, cmd, options, g, with_g, curve,
+                                      missing_out):
     argv = [cmd, "--m", str(m)]
-    argv += (["--checks", "spectrum", "--g", json.dumps(g)] if cmd == "analyze"
-             else ["--curve", json.dumps(curve)])
+    for flag, value in options.items():
+        if flag in ACCEPTS[cmd]:
+            argv += [flag, value]
+    if cmd == "analyze" or (cmd == "verify" and with_g):
+        argv += ["--g", json.dumps(g)]
+    if cmd == "curve":
+        argv += ["--curve", json.dumps(curve)]
     if missing_out:
         argv += ["--out", str(tmp_path_factory.getbasetemp() / "missing" / "r.json")]
     err = io.StringIO()

@@ -7,9 +7,10 @@ from walshforge.boolfn import TracePoly, reduce_difference
 from walshforge.corpus import curve_corpus, sample_curve
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, count_points,
-                               curve_from_json, curve_to_dict, e_poly, maisner_nart_w,
-                               normalize_ab, p_poly, radical)
+                               curve_from_json, curve_to_dict, e_poly, radical)
 from walshforge.rng import SplitRng
+
+from oracles import maisner_nart_w, normalize_ab, p_poly
 
 
 def test_curve_validation():
