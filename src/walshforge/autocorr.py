@@ -34,7 +34,8 @@ X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcount
 
 
 def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
-    """The X_alpha table; about q^2 / 128 word operations."""
+    """The X_alpha table; about q^2 / 128 word operations, in blocks of whole
+    64-lane hi rows of at most ``BATCH`` words, or one row if it holds more."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     q = ctx.q
@@ -44,34 +45,24 @@ def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
     # perm[lo] packs f(x + lo); perm[s + r] is perm[r] delta-swapped by s = 2^b
     perm = np.empty((lanes, n_words), dtype=np.uint64)
     perm[0] = words
-    rows = max(1, BATCH // n_words)
     for b in range(lanes.bit_length() - 1):
         s = 1 << b
         mask = (1 << 64) // ((1 << s) + 1)  # the bits k whose bit b is clear
-        for r in range(0, s, rows):
-            src = perm[r:min(r + rows, s)]
-            perm[s + r:s + r + len(src)] = ((src & mask) << s) | ((src >> s) & mask)
+        perm[s:2 * s] = ((perm[:s] & mask) << s) | ((perm[:s] >> s) & mask)
     # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for
-    # alpha = 64*hi + lo, summed for hi >= 1 over the words j with the top bit
-    # of hi clear and doubled below
-    w = np.arange(n_words)
-    groups = [(0, 1, w[None], perm[:, None])]  # (hi range, j, perm[:, j])
-    groups += [(h, 2 * h, w.reshape(-1, 2, h)[:, 0], perm.reshape(lanes, -1, 2, h)[:, :, 0])
-               for h in (1 << t for t in range(n_words.bit_length() - 1))]
+    # alpha = 64*hi + lo; for hi in [h, 2h) only the words j with j & h = 0
+    # are counted, and the count doubled
     mism = np.empty((n_words, lanes), dtype=np.int64)
-    for start, stop, j, perm_j in groups:
-        # blocks of (hi, lo, j) of at most BATCH words
-        n_j = j.size
-        lo_step = max(1, min(lanes, BATCH // n_j))
-        hi_step = max(1, BATCH // (lo_step * n_j))
-        for hi in range(start, stop, hi_step):
-            moved = words[np.arange(hi, min(hi + hi_step, stop))[:, None, None] ^ j]
-            n_hi = len(moved)
-            moved = moved[:, None]  # (hi, 1, *j.shape)
-            for lo in range(0, lanes, lo_step):
-                diff = moved ^ perm_j[lo:lo + lo_step]
-                mism[hi:hi + n_hi, lo:lo + lo_step] = popcount(diff.reshape(n_hi, -1, n_j))
-    mism[1:] *= 2
+    mism[0] = popcount(words ^ perm)
+    w = np.arange(n_words)
+    for h in (1 << t for t in range(n_words.bit_length() - 1)):
+        j = w.reshape(-1, 2, h)[:, 0]
+        perm_j = perm.reshape(lanes, -1, 2, h)[:, :, 0]
+        step = max(1, BATCH // perm_j.size)  # hi rows per block
+        for hi in range(h, 2 * h, step):
+            moved = words[np.arange(hi, min(hi + step, 2 * h))[:, None, None] ^ j]
+            diff = moved[:, None] ^ perm_j  # (hi, lo, *j.shape)
+            mism[hi:hi + len(moved)] = 2 * popcount(diff.reshape(len(moved), lanes, -1))
     signed = q - 2 * mism.ravel()
     signed[0] = 0
     return signed * signed

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -427,15 +428,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"allow O(q^2) sweeps at m >= {SLOW_M}")
 
 
-def _add_g_source(p: argparse.ArgumentParser, with_corpus: bool) -> None:
+def _add_g(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", "--G", dest="g", help="G as JSON (inline or file path)")
-    if with_corpus:
-        p.add_argument("--seed", type=lambda v: int(v, 0), default=0,
-                       help="64-bit corpus seed")
-        p.add_argument("--count", "--trials", dest="count", type=int, default=1,
-                       help="number of sampled G")
-        p.add_argument("--s", type=int, default=0,
-                       help="largest quadratic-part index for sampled G")
+
+
+def _add_corpus(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=lambda v: int(v, 0), default=0,
+                   help="64-bit corpus seed")
+    p.add_argument("--count", "--trials", dest="count", type=int, default=1,
+                   help="number of sampled G")
+    p.add_argument("--s", type=int, default=0,
+                   help="largest quadratic-part index for sampled G")
 
 
 @lru_cache(maxsize=None)
@@ -451,18 +454,19 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="one G: norms, both sigma4 routes, bounds")
     _add_common(p)
-    _add_g_source(p, with_corpus=False)
+    _add_g(p)
     p.add_argument("--checks", help=f"comma list from {{{','.join(ALL_CHECKS)}}}")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="seeded corpus: spectral rows + aggregates")
     _add_common(p)
-    _add_g_source(p, with_corpus=True)
+    _add_corpus(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="per-shift predictor vs measured X_alpha")
     _add_common(p)
-    _add_g_source(p, with_corpus=True)
+    _add_g(p)
+    _add_corpus(p)
     p.add_argument("--checks", help="comma list from {autocorr,predictor,genus2,auxcurve}; "
                                     "autocorr and predictor always run")
     p.add_argument("--selftest-negative", action="store_true",
@@ -484,9 +488,16 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
         _emit(report, args, (time.monotonic() - start) * 1000.0)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at /dev/null so that the
+        # interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.hard_pass() else 1
 
 

@@ -46,7 +46,9 @@ import numpy as np
 # arrays, whose share of peak RSS grows about 4x per +2 in m (README gives
 # figures), and the Parseval sum is exact in int64 through m = 20.
 MAX_M = 20
-BATCH = 8192  # elements in any 2-D temporary of a batched whole-field pass
+# elements in a 2-D temporary of a batched whole-field pass; an x_alpha_all
+# block holds at least one whole 64-lane row, q / 2 words, more from m = 15
+BATCH = 8192
 
 
 def pack_bits(bits) -> np.ndarray:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
@@ -179,11 +180,12 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
     u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
     e*shift = l - r (mod q - 1).  Each u is gathered from the context's
-    cached trace table ``exp_trace`` of Tr(g^n) and packed at all 64 bit
-    offsets, so the row of a term over all x != 0 is one word slice, and a
-    curve's row is the XOR of three slices.  The rows are gathered for blocks
-    of curves of at most ``BATCH`` words and counted by popcount.  The offset
-    tables hold 2 * 64 words per 64 x for each sequence, 8 MB at m = 17.
+    cached trace table ``exp_trace`` of Tr(g^n), and its 64 windows starting
+    at bits 0 .. 63 are packed at once, so the row of a term over all x != 0
+    is one word slice, and a curve's row is the XOR of three slices.  The
+    rows are gathered for blocks of curves of at most ``BATCH`` words and
+    counted by popcount.  The offset tables hold 2 * 64 words per 64 x for
+    each sequence, 8 MB at m = 17.
     """
     n = ctx.q - 1
     n_words = -(-n // 64)
@@ -198,13 +200,10 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         seq = np.where(coef == 0, 0, len(seqs) + logs % k)
         starts.append((seq * 64 + shift % 64) * width + shift // 64)
         seqs += [ctx.exp_trace[(r + e * i) % n] for r in range(k)]
-    first = pack_bits(np.stack(seqs))
-    tables = np.empty((len(seqs), 64, width), dtype=np.uint64)
-    for o in range(64):  # word j at offset o holds bits o .. o+63 of words j, j+1 at offset 0
-        tables[:, o] = ((first[:, :-1] >> np.uint64(o))
-                        | (first[:, 1:] << np.uint64(1) << np.uint64(63 - o)))
+    # word j of offset table o holds bits 64*j + o .. 64*j + o + 63 of its sequence
+    tables = pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
     # slices[s] is the n_words-word slice starting at word s of the flat tables
-    slices = np.lib.stride_tricks.sliding_window_view(tables.reshape(-1), n_words)
+    slices = sliding_window_view(tables.reshape(-1), n_words)
     last = np.uint64((1 << (n % 64)) - 1)  # bits past i = q - 2 are padding
     ones = np.empty(len(a), dtype=np.int64)  # x != 0 with Tr(a x^5 + b x^3 + c x) = 1
     step = max(1, BATCH // n_words)

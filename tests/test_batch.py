@@ -227,8 +227,8 @@ def test_curve_arrays_match_scalar_on_arbitrary_curves(mcs):
 
 
 def test_count_blocks_split_the_x_range(monkeypatch):
-    # with a cap below the q words of one X_alpha block the in-word shifts
-    # split too, and the curves are counted a few rows at a time
+    # with a cap below the q / 2 words of one X_alpha hi row each block holds
+    # one row, and the curves are counted a few rows at a time
     ctx = CTX[7]
     g = TracePoly(5, (3, 0, 9))
     a, b, c, d = reduce_difference_all(ctx, g)
@@ -311,6 +311,19 @@ def test_packed_x_alpha_matches_scalar_on_every_alpha(m, data):
     bits = truth_table(ctx, g)
     table = x_alpha_all(ctx, g)
     assert table[0] == 0
+    assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
+
+
+@pytest.mark.parametrize("batch", [
+    pytest.param(1, id="one-row-per-block"),
+    # a row holds q / 2 = 256 words, so group h = 4 runs hi blocks [4, 7) and [7, 8)
+    pytest.param(768, id="partial-last-block")])
+def test_x_alpha_blocks_of_whole_rows_match_scalar(monkeypatch, batch):
+    ctx = CTX[9]
+    g = TracePoly(0x155, (3, 0, 9))
+    bits = truth_table(ctx, g)
+    monkeypatch.setattr(autocorr, "BATCH", batch)
+    table = x_alpha_all(ctx, g)
     assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
 
 

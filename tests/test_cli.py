@@ -582,6 +582,32 @@ def test_negative_modulus_exits_2_without_hanging():
     assert "positive" in proc.stderr and not proc.stdout
 
 
+def test_reader_closing_stdout_early_is_no_error():
+    # the report is larger than a pipe buffer, so the write is still going
+    # when the reader stops after one line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    with subprocess.Popen([sys.executable, "-m", "walshforge.cli", "scan", "--m", "9",
+                           "--count", "1000", "--s", "1"], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_scan_refuses_g(capsys):
+    # scan samples its corpus and has no use for one G
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--m", "5", "--g", '{"a7":"0x1"}'])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and "unrecognized arguments: --g" in err and not out
+
+
 def test_bad_modulus_exits_2(capsys):
     code, out, err = run(capsys, "analyze", "--m", "5", "--modulus", "0x27",
                          "--g", '{"a7":"0x1"}')
