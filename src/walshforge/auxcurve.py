@@ -62,7 +62,7 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
     if ctx.m % 2 == 0:
         raise ValueError("point enumeration requires odd m")
     x = np.arange(1, ctx.q, dtype=np.int64)
-    v, on_curve = ctx.vsolve_quartic(ctx.vmul(gamma, ctx.vpow(x, 7)))
+    v, on_curve = ctx.vsolve_quartic(ctx.vterm(gamma, x, 7))
     x, v = x[on_curve], v[on_curve]
     pts = np.stack([x, v, x, v ^ 1], axis=1).reshape(-1, 2)
     return AuxCurvePoints(points=pts, count_total=len(pts) + 3)
@@ -77,11 +77,11 @@ def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints) -> dict:
     the inclusion-exclusion reassembly of N."""
     q = ctx.q
     x, v = pts.points.T
-    eta = np.repeat(eta_all(ctx, g, ctx.vpow(x[::2], q - 1 - 3)), 2)  # alpha = x^(-3)
-    t1 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
-    t2 = ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v))
+    eta = np.repeat(eta_all(ctx, g, ctx.vterm(1, x[::2], -3)), 2)  # alpha = x^(-3)
+    t1 = ctx.vtrace_term(eta, v, 3)
+    t2 = ctx.vtrace_term(eta, ctx.vterm(1, v, 2) ^ v, 1)
     n1, n2 = int(np.count_nonzero(t1)), int(np.count_nonzero(t2))
-    n3 = len(t1) - int(np.count_nonzero(t1 ^ t2))
+    n3 = int(np.count_nonzero(t1 == t2))
     both = pair_zero_count(n1, n2, n3, len(pts.points))
     if both % 2:
         raise AssertionError("pair count must be even: points come in (v, v+1) pairs")

@@ -98,21 +98,21 @@ def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]
     (entry k is alpha = k + 1), with the same two c-term spellings compared."""
     alpha = np.arange(1, ctx.q, dtype=np.int64)
     a7 = g.a7
-    a = ctx.vmul(a7, ctx.vpow(alpha, 2))
-    b = ctx.vmul(a7, ctx.vpow(alpha, 4)) ^ ctx.vfrac_pow(ctx.vmul(a7, alpha), 1, 2)
-    c = (ctx.vmul(a7, ctx.vpow(alpha, 6))
-         ^ ctx.vmul(ctx.frac_pow(a7, 1, 4), ctx.vfrac_pow(alpha, 3, 4))
-         ^ ctx.vmul(ctx.frac_pow(a7, 1, 2), ctx.vfrac_pow(alpha, 5, 2)))
-    d = ctx.vmul(a7, ctx.vpow(alpha, 7))
+    a = ctx.vterm(a7, alpha, 2)
+    b = ctx.vterm(a7, alpha, 4) ^ ctx.vterm(ctx.sqrt(a7), alpha, (1, 2))
+    c = (ctx.vterm(a7, alpha, 6)
+         ^ ctx.vterm(ctx.frac_pow(a7, 1, 4), alpha, (3, 4))
+         ^ ctx.vterm(ctx.frac_pow(a7, 1, 2), alpha, (5, 2)))
+    d = ctx.vterm(a7, alpha, 7)
     csum = csum_alt = np.zeros_like(alpha)
     for i, bi in enumerate(g.b):
         if bi:
-            csum = csum ^ ctx.vfrac_pow(ctx.vmul(bi, alpha), 1, 1 << i)
-            csum ^= ctx.vmul(bi, ctx.vpow(alpha, 1 << i))
-            term = ctx.vmul(bi, ctx.vpow(alpha, 1 + (1 << i)))
-            csum_alt = csum_alt ^ ctx.vfrac_pow(term, 1, 1 << i) ^ term
+            csum = csum ^ ctx.vterm(ctx.frac_pow(bi, 1, 1 << i), alpha, (1, 1 << i))
+            csum ^= ctx.vterm(bi, alpha, 1 << i)
+            term = ctx.vterm(bi, alpha, 1 + (1 << i))
+            csum_alt = csum_alt ^ ctx.vterm(1, term, (1, 1 << i)) ^ term
             d ^= term
-    bad = ctx.vmul(csum, alpha) != csum_alt
+    bad = ctx.vterm(csum, alpha, 1) != csum_alt
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise AssertionError(

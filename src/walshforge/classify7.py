@@ -113,12 +113,12 @@ def eta_all(ctx: FieldCtx, g: TracePoly, alpha: np.ndarray) -> np.ndarray:
     """:func:`eta_of_alpha` elementwise over an array of nonzero alphas."""
     if np.count_nonzero(alpha == 0):
         raise ValueError("alpha must be nonzero")
-    e = 1 ^ ctx.vmul(ctx.frac_pow(g.a7, 1, 4), ctx.vfrac_pow(alpha, 7, 4))
-    e ^= ctx.vmul(ctx.frac_pow(g.a7, 1, 2), ctx.vfrac_pow(alpha, 7, 2))
+    e = 1 ^ ctx.vterm(ctx.frac_pow(g.a7, 1, 4), alpha, (7, 4))
+    e ^= ctx.vterm(ctx.frac_pow(g.a7, 1, 2), alpha, (7, 2))
     for i, bi in enumerate(g.b):
-        if bi:
-            t = ctx.vmul(bi, ctx.vpow(alpha, 1 + (1 << i)))
-            e ^= ctx.vfrac_pow(t, 1, 1 << i) ^ t
+        if bi:  # t^(2^-i) = b_i^(2^-i) * alpha^((1+2^i)/2^i)
+            e ^= (ctx.vterm(ctx.frac_pow(bi, 1, 1 << i), alpha, (1 + (1 << i), 1 << i))
+                  ^ ctx.vterm(bi, alpha, 1 + (1 << i)))
     return e
 
 
@@ -130,14 +130,14 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
     alpha = np.arange(1, q, dtype=np.int64)
     eta = eta_all(ctx, g, alpha)
     inv_a7 = ctx.inv(g.a7)
-    lambda_zero = ctx.vpow(alpha, 7) == inv_a7
+    lambda_zero = ctx.vterm(1, alpha, 7) == inv_a7
     # on the lambda_zero fibre this is the cube root of 1, so ell = 1 there as
     # well, and Tr(1) = 1 (odd m) sends those shifts to the 2q branch below
-    ell = ctx.vfrac_pow(ctx.vmul(inv_a7, ctx.vpow(alpha, -7)), 1, 3)
+    ell = ctx.vterm(ctx.kth_root(inv_a7, 3), alpha, (-7, 3))
     v, split = ctx.vsolve_quartic(ell)  # split: Tr(ell) = 0
-    hit = (ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 3)))
-           & ctx.vtrace(ctx.vmul(eta, ctx.vpow(v, 2) ^ v)))
-    predicted = np.where(split, hit * (8 * q), 2 * q)
+    t1 = ctx.vtrace_term(eta, v, 3)
+    t2 = ctx.vtrace_term(eta, ctx.vterm(1, v, 2) ^ v, 1)
+    predicted = np.where(split, np.where((t1 == 1) & (t2 == 1), 8 * q, 0), 2 * q)
     return ShiftArrays(predicted=predicted, lambda_zero=lambda_zero, ell=ell, eta=eta,
                        v=np.where(split, v, -1))
 

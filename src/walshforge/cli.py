@@ -214,12 +214,17 @@ def _genus2_section(ctx, route: dict, table):
     """Every shift's count must land in the set its symplectic data predicts,
     and (count - q - 1)^2 must reproduce X_alpha."""
     dev = route["count"] - ctx.q - 1
-    bad_member = int(np.count_nonzero(np.abs(dev) != route["radius"]))
-    bad_bridge = int(np.count_nonzero(dev * dev != table[1:]))
-    checks = [compare("curve_count_membership", bad_member, "==", 0,
-                      note=f"{ctx.q - 1} shifts"),
-              compare("curve_count_bridge", bad_bridge, "==", 0,
-                      note="(count-q-1)^2 vs X_alpha")]
+    checks = []
+    for name, bad, note in (("curve_count_membership", np.abs(dev) != route["radius"],
+                             f"{ctx.q - 1} shifts"),
+                            ("curve_count_bridge", dev * dev != table[1:],
+                             "(count-q-1)^2 vs X_alpha")):
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad:  # name the first failing shift
+            k = int(np.flatnonzero(bad)[0])
+            note += (f"; first at alpha={k + 1:#x}: count={int(route['count'][k])}, "
+                     f"radius={int(route['radius'][k])}, X_alpha={int(table[k + 1])}")
+        checks.append(compare(name, n_bad, "==", 0, note=note))
     w_hist = Counter(route["w"].tolist())
     return {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}, checks
 

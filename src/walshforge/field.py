@@ -12,10 +12,12 @@ tables, and a command at another field replaces it.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``vmul``, ``vpow``, ``vfrac_pow``, ``vlog``, ``vsolve_quartic``,
+helpers (``vterm``, ``vtrace_term``, ``vlog``, ``vsolve_quartic``,
 ``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays
-of elements.  Tests cross-check the tables
-against the shift-xor product ``mul_raw``.
+of elements.  ``vterm(coef, x, e)``, every per-shift product, is one gather
+from the doubled antilog table at log(coef) + (e*log(x) mod (q-1)), e an
+int or a (num, den) fraction; ``vtrace_term`` reads Tr at the same index.
+Tests cross-check the tables against the shift-xor product ``mul_raw``.
 
 For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
 closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
@@ -321,26 +323,30 @@ class FieldCtx:
             x ^= (x >> self.m) * self.modulus  # bit m is the only overflow
         return r
 
-    def vmul(self, x, y) -> np.ndarray:
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        out = self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
-        return np.where((x == 0) | (y == 0), 0, out)
-
-    def vpow(self, x, n: int) -> np.ndarray:
+    def _term_index(self, coef, x, e):
+        """(idx, zero): coef * x^e is ``_exp[idx]`` where ``zero`` is False,
+        idx = log(coef) + (e*log(x) mod (q-1)) < 2(q-1), and 0 where it is True.
+        ``e`` is an int or a (num, den) pair; 0^(num/den) follows num."""
+        n = self.q - 1
+        num, e = (e[0], self._frac_exponent(*e)) if isinstance(e, tuple) else (e, e % n)
         x = np.asarray(x, dtype=np.int64)
-        zero = x == 0
-        if n < 0 and np.count_nonzero(zero):
+        zero = x == 0 if num else False  # x^0 = 1, also for x = 0
+        if num < 0 and np.count_nonzero(zero):
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        r = self._exp[(self._log[x] * (n % (self.q - 1))) % (self.q - 1)]
-        return np.where(zero, int(n == 0), r)
+        if isinstance(coef, np.ndarray) or coef == 0:
+            zero = zero | (coef == 0)
+        return self._log[x] * e % n + self._log[coef], zero
 
-    def vfrac_pow(self, x, num: int, den: int) -> np.ndarray:
-        """x^(num/den) elementwise; den=k, num=1 is the k-th root."""
-        e = self._frac_exponent(num, den)
-        x = np.asarray(x, dtype=np.int64)
-        if num < 0 and np.count_nonzero(x == 0):
-            raise ZeroDivisionError("0 cannot be raised to a negative power")
-        return np.where(x == 0, int(num == 0), self.vpow(x, e))
+    def vterm(self, coef, x, e) -> np.ndarray:
+        """coef * x^e elementwise, one gather from the doubled antilog table."""
+        idx, zero = self._term_index(coef, x, e)
+        return np.where(zero, 0, self._exp[idx])
+
+    def vtrace_term(self, coef, x, e) -> np.ndarray:
+        """Tr(coef * x^e) elementwise as uint8, read from ``exp_trace`` at the
+        index of :meth:`vterm`."""
+        idx, zero = self._term_index(coef, x, e)
+        return np.where(zero, np.uint8(0), self.exp_trace[idx])
 
     def vlog(self, x) -> np.ndarray:
         """Discrete logs, in [0, q-1), of nonzero x to the table generator."""
@@ -353,7 +359,7 @@ class FieldCtx:
     def _quartic_basis(self) -> list[int]:
         basis = np.int64(1) << np.arange(self.m, dtype=np.int64)
         return np.bitwise_xor.reduce(
-            [self.vpow(basis, 4 ** i) for i in range(1, self.m - 1, 2)]).tolist()
+            [self.vterm(1, basis, 4 ** i) for i in range(1, self.m - 1, 2)]).tolist()
 
     def vsolve_quartic(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  For odd
@@ -368,7 +374,7 @@ class FieldCtx:
         for j, vj in enumerate(self._quartic_basis):
             v ^= ((c >> j) & 1) * vj
         v = np.where(has_root, v, 0)
-        lost = has_root & ((self.vpow(v, 4) ^ v) != c)
+        lost = has_root & ((self.vterm(1, v, 4) ^ v) != c)
         if np.count_nonzero(lost):
             raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={int(c[lost][0]):#x}")
         return v, has_root

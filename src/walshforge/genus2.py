@@ -16,6 +16,8 @@ rescaling to a = b form, is a test oracle in ``tests/oracles.py``.
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
 oracles (``count_points`` also counts the one curve of ``walshforge curve``).
+``classify_curves`` finds W by inserting the rows E(e_j) << m | e_j one at a
+time into a basis kept by leading bit, one ``min(v, v ^ slot)`` per step.
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
 m-sequence read from the cached trace table, so a curve's row of traces is
@@ -131,39 +133,45 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> CurveArrays:
     """:func:`classify` for the curves (a[k], b[k], c[k], .) at once.
 
-    Each curve's radical comes from GF(2) elimination on the rows
-    E(e_j) | (e_j << m): the high half tracks which basis combination a row
-    is, so rows whose E half clears are a basis of W.  Q is linear on W, so
-    it vanishes on W iff it vanishes on that basis.
+    The rows E(e_j) << m | e_j (e_j = 2^j; the low half tracks which basis
+    combination a row is) of a block of curves are an (m, k) array, one
+    gather per term of E, inserted one at a time into ``slots``: slots[h]
+    is the basis row led by bit m+h, 0 while empty.  For h from m-1 down to
+    0, ``min(v, v ^ slots[h])`` clears bit m+h of v where it is set and the
+    slot is filled; the reduced row then fills the slot of its leading bit.
+    Rows whose E half clears (they go to the scratch slot m) are a basis of
+    W.  Q is linear on W, so it vanishes on W iff it vanishes on that
+    basis; Q(v) = Tr(a v^5) + Tr(b v^3) + Tr(c v), as Tr(c^2 v^2) = Tr(c v).
     """
     m = ctx.m
-    basis = np.int64(1) << np.arange(m, dtype=np.int64)
+    basis = np.int64(1) << np.arange(m, dtype=np.int64)[:, None]
+    e16, e8, e2 = (ctx.vterm(1, basis, e) for e in (16, 8, 2))
+    lead = np.full(ctx.q, m, dtype=np.int64)  # leading bit of an E half; 0 -> scratch slot m
+    for h in range(m):
+        lead[1 << h:2 << h] = h
     w = np.empty(len(a), dtype=np.int64)
     vanishes = np.empty(len(a), dtype=bool)
     step = max(1, BATCH // m)
     for lo in range(0, len(a), step):
         sl = slice(lo, lo + step)
-        ak, bk, ck = a[sl, None], b[sl, None], c[sl, None]
-        rows = (ctx.vmul(ctx.vpow(ak, 4), ctx.vpow(basis, 16))
-                ^ ctx.vmul(ctx.vpow(bk, 4), ctx.vpow(basis, 8))
-                ^ ctx.vmul(ctx.vpow(bk, 2), ctx.vpow(basis, 2))
-                ^ ctx.vmul(ak, basis)) | (basis << m)
-        ar = np.arange(len(rows))
-        free = np.ones(rows.shape, dtype=bool)
-        for h in range(m - 1, -1, -1):
-            has = ((rows >> h) & 1).astype(bool)
-            p = (has & free).argmax(axis=1)
-            found = (has & free)[ar, p]
-            free[ar[found], p[found]] = False
-            clear = has & found[:, None]
-            clear[ar, p] = False
-            rows ^= clear * rows[ar, p][:, None]
-        kernel = (rows & (ctx.q - 1)) == 0
-        v = np.where(kernel, rows >> m, 0)  # Q(0) = 0 on the non-kernel slots
-        r = (ctx.vmul(ak, ctx.vpow(v, 4)) ^ ctx.vmul(bk, ctx.vpow(v, 2))
-             ^ ctx.vmul(ctx.vmul(ck, ck), v))
-        w[sl] = np.count_nonzero(kernel, axis=1)
-        vanishes[sl] = np.count_nonzero(ctx.vtrace(ctx.vmul(v, r)), axis=1) == 0
+        ak, bk, ck = a[sl], b[sl], c[sl]
+        rows = ctx.vterm(e16, ak, 4) ^ ctx.vterm(basis, ak, 1)
+        if np.count_nonzero(bk):  # drop the two b terms when every b is 0
+            rows ^= ctx.vterm(e8, bk, 4) ^ ctx.vterm(e2, bk, 2)
+        rows <<= m
+        rows |= basis
+        slots = np.zeros((m + 1, len(ak)), dtype=np.int64)
+        cols, flip = np.arange(len(ak)), np.empty(len(ak), dtype=np.int64)
+        for row in rows:  # reduced in place
+            for h in range(m - 1, -1, -1):
+                np.bitwise_xor(row, slots[h], out=flip)
+                np.minimum(row, flip, out=row)
+            slots[lead[row >> m], cols] = row
+        kernel = rows < ctx.q
+        v = np.where(kernel, rows, 0)  # Q(0) = 0 on the non-kernel rows
+        qv = ctx.vtrace_term(ak, v, 5) ^ ctx.vtrace_term(bk, v, 3) ^ ctx.vtrace_term(ck, v, 1)
+        w[sl] = np.count_nonzero(kernel, axis=0)
+        vanishes[sl] = np.count_nonzero(qv, axis=0) == 0
     if np.count_nonzero((w[vanishes] + m) % 2):
         bad = int(w[vanishes][(w[vanishes] + m) % 2 == 1][0])
         raise AssertionError(f"2^w*q not a square: w={bad}, m={m}")

@@ -59,23 +59,40 @@ def test_vector_helpers_match_scalar(m):
     y = rng.integers(0, ctx.q, 200)
     x[:3] = 0
     y[7] = 0
-    assert ctx.vmul(x, y).tolist() == [ctx.mul(int(a), int(b)) for a, b in zip(x, y)]
+    assert ctx.vterm(x, y, 1).tolist() == [ctx.mul(int(a), int(b)) for a, b in zip(x, y)]
     for n in (0, 1, 3, 7, ctx.q - 1, ctx.q, 5 * ctx.q + 3):
-        assert ctx.vpow(x, n).tolist() == [ctx.pow(int(a), n) for a in x]
+        assert ctx.vterm(1, x, n).tolist() == [ctx.pow(int(a), n) for a in x]
+        # an array coef with zeros in it, against mul of the scalar power
+        assert ctx.vterm(y, x, n).tolist() == [ctx.mul(int(b), ctx.pow(int(a), n))
+                                               for a, b in zip(x, y)]
     nz = x[x != 0]
-    assert ctx.vpow(nz, -7).tolist() == [ctx.pow(int(a), -7) for a in nz]
+    assert ctx.vterm(1, nz, -7).tolist() == [ctx.pow(int(a), -7) for a in nz]
     logs = ctx.vlog(nz)
     assert logs.min() >= 0 and logs.max() < ctx.q - 1
     assert ctx._exp[logs].tolist() == nz.tolist()
     with pytest.raises(ValueError, match="no discrete logarithm"):
         ctx.vlog(x)
     with pytest.raises(ZeroDivisionError):
-        ctx.vpow(x, -1)
+        ctx.vterm(1, x, -1)
+    with pytest.raises(ZeroDivisionError):
+        ctx.vterm(1, x, (-1, 1))
     for num, den in ((1, 4), (7, 4), (5, 2), (3, 1), (0, 2)):
-        assert ctx.vfrac_pow(x, num, den).tolist() == [ctx.frac_pow(int(a), num, den)
-                                                      for a in x]
+        assert ctx.vterm(1, x, (num, den)).tolist() == [ctx.frac_pow(int(a), num, den)
+                                                       for a in x]
+        assert ctx.vterm(y, x, (num, den)).tolist() == [
+            ctx.mul(int(b), ctx.frac_pow(int(a), num, den)) for a, b in zip(x, y)]
+    for coef, xs, n in ((y, x, 5), (y, x, (1, 2)), (3, x, 0), (0, x, 3),
+                        (y[:len(nz)], nz, -7)):
+        t = ctx.vtrace_term(coef, xs, n)
+        assert t.dtype == np.uint8
+        assert t.tolist() == ctx.vtrace(ctx.vterm(coef, xs, n)).tolist()
+    if m == 3:
+        # 7/4 = 0 (mod q - 1 = 7), so x^(7/4) = 1 for x != 0, yet 0^(7/4) = 0
+        assert ctx.vterm(1, [0, 1, 5], (7, 4)).tolist() == [0, 1, 1]
+        assert ctx.vterm(1, [0, 1, 5], 7).tolist() == [0, 1, 1]
+        assert ctx.vterm(1, [0, 5], 0).tolist() == [1, 1]
     if m % 2:
-        assert ctx.vfrac_pow(x, 1, 3).tolist() == [ctx.kth_root(int(a), 3) for a in x]
+        assert ctx.vterm(1, x, (1, 3)).tolist() == [ctx.kth_root(int(a), 3) for a in x]
     else:
         with pytest.raises(ValueError, match="odd m"):
             ctx.vsolve_quartic(x)
@@ -134,10 +151,10 @@ def test_tables_match_shift_xor_product(m):
     y = rng.integers(0, ctx.q, 1000)
     x[:3] = 0
     y[7] = 0
-    assert ctx.vmul(x, y).tolist() == [ctx.mul_raw(int(a), int(b)) for a, b in zip(x, y)]
+    assert ctx.vterm(x, y, 1).tolist() == [ctx.mul_raw(int(a), int(b)) for a, b in zip(x, y)]
     x = x[:100]  # square-and-multiply in Python costs ~2m products per element
     for n in (0, 1, 3, 7, 1 << (m - 1), ctx.q - 2, ctx.q - 1, 5 * ctx.q + 3):
-        assert ctx.vpow(x, n).tolist() == [ctx._pow_raw(int(a), n) for a in x]
+        assert ctx.vterm(1, x, n).tolist() == [ctx._pow_raw(int(a), n) for a in x]
 
 
 # -- predictor -------------------------------------------------------------------
@@ -244,6 +261,43 @@ def test_count_blocks_split_the_x_range(monkeypatch):
     assert blocked.V_equals_W.tolist() == curves.V_equals_W.tolist()
 
 
+def assert_curves_match_classify(ctx, a, b, c) -> set:
+    curves = classify_curves(ctx, a, b, c)
+    seen = set()
+    for k in range(len(a)):
+        data = classify(ctx, QuinticCurve(int(a[k]), int(b[k]), int(c[k]), 0))
+        assert (data.w, data.V_equals_W) == (curves.w[k], curves.V_equals_W[k])
+        r = int(curves.radius[k])
+        assert data.predicted_counts == {ctx.q + 1 - r, ctx.q + 1 + r}
+        seen.add((data.w, data.V_equals_W))
+    return seen
+
+
+def test_curve_blocks_match_scalar_classify(monkeypatch):
+    # BATCH = 50 makes blocks of 50 // m curves: at m = 7 the 127 shift curves
+    # fill 18 blocks of 7 and a last block of 1, and 200 random curves end in
+    # a block of 4 (m = 7) or 2 (m = 8, blocks of 6)
+    monkeypatch.setattr(genus2, "BATCH", 50)
+    rng = np.random.default_rng(78)
+    ctx = CTX[7]
+    a, b, c, _ = reduce_difference_all(ctx, TracePoly(5, (3, 0, 9)))
+    assert len(a) % (50 // 7) == 1
+    seen = assert_curves_match_classify(ctx, a, b, c)
+    for m in (7, 8):
+        ctx = CTX[m]
+        a = rng.integers(1, ctx.q, 200)
+        b, c = rng.integers(0, ctx.q, (2, 200))
+        b[:40] = 0  # b = 0 drops the b terms of E; c = 0 the c term of Q
+        c[20:60] = 0
+        assert len(a) % (50 // m) in (2, 4)
+        found = assert_curves_match_classify(ctx, a, b, c)
+        if m % 2:
+            seen |= found
+            assert seen == {(w, v) for w in (1, 3) for v in (True, False)}
+        else:
+            assert {w for w, _ in found} == {0, 2, 4}
+
+
 def test_batch_temporaries_stay_small():
     # a (q-1) x q array at m = 11 would be 32 MB of int64
     ctx = CTX[11]
@@ -278,13 +332,13 @@ def test_x_alpha_temporaries_stay_small():
 
 def test_c_spelling_disagreement_is_caught(monkeypatch):
     ctx = CTX[7]
-    real = ctx.vfrac_pow
+    real = ctx.vterm
 
-    def skewed(x, num, den):  # flips a bit of both square roots of b_1 terms
-        out = real(x, num, den)
-        return out ^ 1 if (num, den) == (1, 2) and x[0] == 6 else out
+    def skewed(coef, x, e):  # flips a bit of both square roots of b_1 terms,
+        out = real(coef, x, e)  # sqrt(b_1) * alpha^(1/2) and (b_1 * alpha^3)^(1/2)
+        return out ^ 1 if e == (1, 2) and coef in (ctx.sqrt(6), 1) else out
 
-    monkeypatch.setattr(ctx, "vfrac_pow", skewed)
+    monkeypatch.setattr(ctx, "vterm", skewed)
     with pytest.raises(AssertionError, match="c-term spellings disagree"):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
 

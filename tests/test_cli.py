@@ -224,6 +224,11 @@ def test_negative_control_fails_named_check(capsys, monkeypatch, cmd, route, cor
     failed = _failed(doc)
     assert code == 1
     assert (in_analyze if cmd == "analyze" else in_verify) <= failed, failed
+    for c in doc["checks"]:  # a failing curve check names the first bad shift
+        if c["name"].startswith("curve_count_") and not c["pass"]:
+            assert "first at alpha=0x" in c["note"] and "X_alpha=" in c["note"], c
+            if route in ("count_points_all", "classify_curves"):  # alpha = 1 corrupted
+                assert "first at alpha=0x1:" in c["note"], c
 
 
 @pytest.mark.parametrize("argv", [
