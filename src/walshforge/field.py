@@ -333,7 +333,8 @@ class FieldCtx:
         zero = x == 0 if num else False  # x^0 = 1, also for x = 0
         if num < 0 and np.count_nonzero(zero):
             raise ZeroDivisionError("0 cannot be raised to a negative power")
-        if isinstance(coef, np.ndarray) or coef == 0:
+        coef = np.asarray(coef, dtype=np.int64)
+        if coef.ndim or coef == 0:
             zero = zero | (coef == 0)
         return self._log[x] * e % n + self._log[coef], zero
 

@@ -155,9 +155,8 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     for lo in range(0, len(a), step):
         sl = slice(lo, lo + step)
         ak, bk, ck = a[sl], b[sl], c[sl]
-        rows = ctx.vterm(e16, ak, 4) ^ ctx.vterm(basis, ak, 1)
-        if np.count_nonzero(bk):  # drop the two b terms when every b is 0
-            rows ^= ctx.vterm(e8, bk, 4) ^ ctx.vterm(e2, bk, 2)
+        rows = (ctx.vterm(e16, ak, 4) ^ ctx.vterm(basis, ak, 1)
+                ^ ctx.vterm(e8, bk, 4) ^ ctx.vterm(e2, bk, 2))
         rows <<= m
         rows |= basis
         slots = np.zeros((m + 1, len(ak)), dtype=np.int64)

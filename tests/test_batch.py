@@ -91,6 +91,9 @@ def test_vector_helpers_match_scalar(m):
         assert ctx.vterm(1, [0, 1, 5], (7, 4)).tolist() == [0, 1, 1]
         assert ctx.vterm(1, [0, 1, 5], 7).tolist() == [0, 1, 1]
         assert ctx.vterm(1, [0, 5], 0).tolist() == [1, 1]
+        # a list coef with a zero in it, like an array one
+        assert ctx.vterm([0, 3, 0], [5, 5, 0], 2).tolist() == [0, ctx.mul(3, ctx.pow(5, 2)), 0]
+        assert ctx.vtrace_term([0, 3], [5, 5], 2).tolist() == [0, ctx.trace(ctx.mul(3, ctx.pow(5, 2)))]
     if m % 2:
         assert ctx.vterm(1, x, (1, 3)).tolist() == [ctx.kth_root(int(a), 3) for a in x]
     else:
