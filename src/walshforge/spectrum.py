@@ -8,66 +8,106 @@ coordinate dot product: with chi(x) = (-1)^bits[x],
 The trace pairing Tr(v*x) differs from parity(v & x) by a linear change of
 basis that only permutes the index v, so every norm is the same under either
 convention (asserted by a test, not assumed).
+
+``fwht`` computes it as r <= ceil(m/5) float32 matrix products with cached
+Sylvester factors of order at most 32 (exact for q <= 2^24, see its
+docstring).  The sums over the spectrum that can pass int64 (``l4_fourth``,
+``parseval_sum``) are taken in Python ints over the amplitude histogram.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
-def _row_butterflies(a: np.ndarray) -> None:
-    """Walsh butterflies, in place, over the row-index bits of a C-contiguous
-    2-D array: each stage adds and subtracts whole runs of rows."""
-    rows, width = a.shape
-    h = 1
-    while h < rows:
-        pairs = a.reshape(-1, 2, h * width)
-        left, right = pairs[:, 0], pairs[:, 1]
-        left += right  # l + r
-        right *= -2
-        right += left  # l + r - 2r = l - r
-        h *= 2
+MAX_FACTOR_BITS = 5  # H_32 factors measured fastest at m = 13, 15 and 17
+MAX_TABLE_LEN = 1 << 24  # float32 holds every integer of magnitude <= 2^24
+
+
+@cache
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester matrix, H[u, x] = (-1)^parity(u & x), float32,
+    read-only since every call shares it."""
+    h = np.ones((1, 1), dtype=np.float32)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _factor_bits(m: int) -> list[int]:
+    """Split m bits into the fewest blocks of at most MAX_FACTOR_BITS, as
+    equal as possible, larger first: 15 -> [5, 5, 5], 17 -> [5, 4, 4, 4]."""
+    r = max(1, -(-m // MAX_FACTOR_BITS))
+    base, extra = divmod(m, r)
+    return [base + 1] * extra + [base] * (r - extra)
 
 
 def fwht(table: np.ndarray) -> np.ndarray:
-    """Butterfly transform of a 0/1 truth table, O(q log q): the int32 spectrum.
+    """Walsh transform of a 0/1 truth table: the int32 spectrum, C-contiguous.
 
-    Two passes over a 2-D int32 array of the signs (-1)^bits[x], so that every
-    stage works on contiguous runs of at least 2^(m//2) elements.  The table
-    is read transposed, as (2^(m//2), 2^(m - m//2)), and the butterflies run
-    over its row bits (the low m//2 bits of x).  It is transposed back to
-    (2^(m - m//2), 2^(m//2)) and the butterflies run over its row bits again
-    (the high bits of x).  After k stages each entry is a signed sum of 2^k
-    signs, and the ``-2 * right`` step doubles a sum of at most q/2, so no
-    value passes q <= 2^20 and int32 is exact.  Widen before squaring.
+    The Walsh matrix of order q = 2^m is the Kronecker product of small
+    Sylvester matrices H_{2^k1} x ... x H_{2^kr} with k1 + ... + kr = m and
+    every k_i <= MAX_FACTOR_BITS, because (-1)^parity(v & x) factors over any
+    split of the bits of v and x into blocks.  So the signs (-1)^bits[x] are
+    viewed as a tensor of shape (2^k1, ..., 2^kr), high bits of x first, and
+    each axis is multiplied by its cached float32 H with one matmul: the
+    last axis as ``reshape(-1, 2^kr) @ H``, the leading axes in batched form.
+
+    The float32 result is exact.  After the axes multiplied so far cover K
+    bits, every entry is an integer sum of 2^K signs, and each partial sum
+    that sgemm forms while multiplying the next axis (k bits) is a sum of at
+    most 2^k such entries times +-1: an integer of magnitude at most
+    2^(K + k) <= 2^m.  Every integer of magnitude <= 2^24 is a float32, so for
+    q <= 2^24 no rounding happens whatever the summation order, thread split
+    or FMA use; longer tables are refused before any work.  The final cast to
+    int32 is exact too.  Widen before squaring.
     """
     q = len(table)
     m = q.bit_length() - 1
     if q < 1 or (1 << m) != q:
         raise ValueError(f"table length {q} is not a power of two")
-    low = m // 2
-    a = np.ascontiguousarray(table.reshape(1 << (m - low), 1 << low).T, dtype=np.int32)
+    if q > MAX_TABLE_LEN:
+        raise ValueError(f"table length {q} above 2^24, where float32 sums stop being exact")
+    ks = _factor_bits(m)
+    a = table.astype(np.float32)
     a *= -2
-    a += 1
-    _row_butterflies(a)
-    a = np.ascontiguousarray(a.T)
-    _row_butterflies(a)
-    return a.reshape(q)
+    a += 1  # (-1)^bits
+    a = a.reshape(-1, 1 << ks[-1]) @ _hadamard(ks[-1])
+    lead, tail = 1, q
+    for k in ks[:-1]:
+        tail >>= k
+        a = np.matmul(_hadamard(k), a.reshape(lead, 1 << k, tail))
+        lead <<= k
+    return a.reshape(q).astype(np.int32)
 
 
 def linf(spec: np.ndarray) -> int:
     return int(np.abs(spec).max())
 
 
-def l4_fourth(spec: np.ndarray) -> int:
-    """(1/q) * sum of spec^4, exact.
+def amplitude_counts(spec: np.ndarray) -> np.ndarray:
+    """counts[k] = how many v have |spec[v]| = k, for k in 0..linf(spec)."""
+    return np.bincount(np.abs(spec))
 
-    The sum can pass int64 (it reaches q^4), so it is taken in Python ints
-    over the few distinct amplitudes, weighted by how often each occurs.
+
+def _power_sum(spec: np.ndarray, p: int, counts: np.ndarray | None) -> int:
+    """sum of |spec|^p in Python ints over the few distinct amplitudes, weighted
+    by how often each occurs: exact at any size, with no int64 copy."""
+    if counts is None:
+        counts = amplitude_counts(spec)
+    return sum(int(k) ** p * int(counts[k]) for k in np.flatnonzero(counts))
+
+
+def l4_fourth(spec: np.ndarray, counts: np.ndarray | None = None) -> int:
+    """(1/q) * sum of spec^4, exact (the sum reaches q^4, past int64).
+
+    Pass ``counts`` when ``amplitude_counts(spec)`` is already known.
     """
     q = len(spec)
-    counts = np.bincount(np.abs(spec))
-    total = sum(int(k) ** 4 * int(counts[k]) for k in np.flatnonzero(counts))
+    total = _power_sum(spec, 4, counts)
     if total % q:
         raise AssertionError("sum of fourth powers not divisible by q")
     return total // q
@@ -78,14 +118,15 @@ def nonlinearity(spec: np.ndarray, lv: int | None = None) -> int:
     return len(spec) // 2 - (linf(spec) if lv is None else lv) // 2
 
 
-def parseval_sum(spec: np.ndarray) -> int:
+def parseval_sum(spec: np.ndarray, counts: np.ndarray | None = None) -> int:
     """sum of spec^2, which Parseval fixes at q^2.
 
-    |spec| <= q, so the sum is at most q^3: exact once widened to int64
-    (through m = 20), where an int32 square would overflow from m = 16.
+    Exact for any int array: one with |spec| <= q reaches q^3, past int64
+    from m = 21.
+
+    Pass ``counts`` when ``amplitude_counts(spec)`` is already known.
     """
-    v = spec.astype(np.int64)
-    return int(np.dot(v, v))
+    return _power_sum(spec, 2, counts)
 
 
 def parseval_ok(spec: np.ndarray) -> bool:

@@ -326,6 +326,27 @@ def test_report_hashes_pinned(capsys, argv, digest):
     assert doc["determinism_hash"] == digest
 
 
+LEAN_SHA = """
+import importlib.util, sys
+import walshforge.cli
+lean = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
+print(lean, "_hashlib" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib loads libcrypto through _hashlib; the report hash takes the
+    # builtin SHA-256 module whenever the interpreter has one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run([sys.executable, "-c", LEAN_SHA], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lean, loaded = proc.stdout.split()
+    assert loaded == "False" or lean == "False"
+
+
 # -- one field per process ------------------------------------------------------
 
 SPECTRUM_7 = ("analyze", "--m", "7", "--checks", "spectrum", "--g", '{"a7":"0x3"}')

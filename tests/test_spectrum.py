@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
-from walshforge.spectrum import (divisibility_check, fwht, l4_fourth, linf, nonlinearity,
-                                 parseval_ok, parseval_sum)
+import walshforge.spectrum as spectrum
+from walshforge.spectrum import (amplitude_counts, divisibility_check, fwht, l4_fourth, linf,
+                                 nonlinearity, parseval_ok, parseval_sum)
 
 
 def walsh_double_sum(table, v):
@@ -18,7 +19,7 @@ def walsh_double_sum(table, v):
 
 def fwht_stages(table):
     """Stage-by-stage int64 butterfly over the whole table (h = 1, 2, 4, ...),
-    kept as the reference for the two-pass transform."""
+    kept as the reference for the Hadamard-factor matmul transform."""
     q = len(table)
     a = (1 - 2 * table.astype(np.int64)).reshape(1, q)
     h = 1
@@ -32,13 +33,60 @@ def fwht_stages(table):
     return a.reshape(q)
 
 
+def assert_int32_spectrum(spec, q):
+    assert isinstance(spec, np.ndarray) and spec.dtype == np.int32 and spec.shape == (q,)
+    assert spec.flags.c_contiguous
+
+
 @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_fwht_matches_stage_by_stage_reference(m, seed, density):
-    # m = 0 and 1 leave a pass empty; odd m gives the two passes different lengths
+    # m = 0 is one factor H_1; m <= 5 one factor; 6..10 two; 11..12 three
     table = (np.random.default_rng(seed).random(1 << m) < density).astype(np.uint8)
     spec = fwht(table)
-    assert isinstance(spec, np.ndarray) and spec.dtype == np.int32 and len(spec) == 1 << m
+    assert_int32_spectrum(spec, 1 << m)
     np.testing.assert_array_equal(spec, fwht_stages(table))
+
+
+@pytest.mark.parametrize("m", range(13, 21))
+def test_fwht_matches_reference_at_every_large_split(m):
+    # every factor split above the Hypothesis range: [5,4,4] .. [5,5,5,5]
+    table = (np.random.default_rng(m).random(1 << m) < 0.5).astype(np.uint8)
+    spec = fwht(table)
+    assert_int32_spectrum(spec, 1 << m)
+    np.testing.assert_array_equal(spec, fwht_stages(table))
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_fwht_of_constant_tables(m):
+    # spec[0] = +-q is the largest value any sum reaches
+    q = 1 << m
+    for bit, sign in ((0, 1), (1, -1)):
+        spec = fwht(np.full(q, bit, dtype=np.uint8))
+        assert_int32_spectrum(spec, q)
+        assert int(spec[0]) == sign * q
+        assert not spec[1:].any()
+
+
+def test_fwht_refuses_tables_past_float32_exactness(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("transform work started")
+
+    monkeypatch.setattr(spectrum, "_factor_bits", no_work)
+    monkeypatch.setattr(spectrum, "_hadamard", no_work)
+    with pytest.raises(ValueError, match="2\\^24"):
+        fwht(np.zeros(1 << 25, np.uint8))
+
+
+def test_factor_splits():
+    assert spectrum._factor_bits(0) == [0]
+    assert spectrum._factor_bits(5) == [5]
+    assert spectrum._factor_bits(6) == [3, 3]
+    assert spectrum._factor_bits(15) == [5, 5, 5]
+    assert spectrum._factor_bits(17) == [5, 4, 4, 4]
+    assert spectrum._factor_bits(20) == [5, 5, 5, 5]
+    for m in range(25):
+        ks = spectrum._factor_bits(m)
+        assert sum(ks) == m and max(ks) <= 5 and max(ks) - min(ks) <= 1
 
 
 def test_fwht_is_exact_at_the_largest_field():
@@ -47,6 +95,15 @@ def test_fwht_is_exact_at_the_largest_field():
     assert int(spec[0]) == 2**20
     assert parseval_sum(spec) == 2**40
     assert l4_fourth(spec) == 2**60
+    counts = amplitude_counts(spec)
+    assert parseval_sum(spec, counts) == 2**40 and l4_fourth(spec, counts) == 2**60
+
+
+def test_parseval_sum_is_exact_past_int64():
+    # not a spectrum: |spec| = q = 2^21 at every point, the q^3 = 2^63 worst
+    # case, which an int64 dot product wraps to a negative number
+    spec = np.full(1 << 21, -(1 << 21), dtype=np.int32)
+    assert parseval_sum(spec) == 2**63
 
 
 def test_tr_x3_m3_spectrum(ctx3):
