@@ -53,7 +53,7 @@ def s7_sum(ctx: FieldCtx, gamma: int) -> int:
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
     # sum over x of (-1)^Tr(gamma*x^7); x = 0 has trace 0
-    return ctx.q - 2 * int(np.count_nonzero(ctx.monomial_trace(gamma, 7)))
+    return ctx.q - 2 * int(np.count_nonzero(ctx.trace_row([(gamma, 7)])))
 
 
 def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:

@@ -49,13 +49,10 @@ def eval_g(ctx: FieldCtx, g: TracePoly, x: int) -> int:
 
 
 def truth_table(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
-    """bits[x] = Tr(G(x)) over all x in [0, q), as uint8: Tr is GF(2)-linear,
-    so the XOR of the monomials' trace bits."""
-    bits = ctx.monomial_trace(g.a7, 7)
-    for i, bi in enumerate(g.b):
-        if bi:
-            bits ^= ctx.monomial_trace(bi, (1 << i) + 1)
-    return bits
+    """bits[x] = Tr(G(x)) over all x in [0, q), as uint8: one
+    :meth:`FieldCtx.trace_row`, the parity of the XOR of dual(coef) & x^e
+    over G's monomials, read from the context's cached power arrays."""
+    return ctx.trace_row([(g.a7, 7)] + [(bi, (1 << i) + 1) for i, bi in enumerate(g.b)])
 
 
 def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:

@@ -36,7 +36,7 @@ from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
 from .field import MAX_M, FieldCtx, default_modulus
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
-from .spectrum import amplitude_counts, fwht, l4_fourth, linf, nonlinearity, parseval_sum
+from .spectrum import amplitude_counts, fwht, l4_fourth, nonlinearity, parseval_sum
 from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
                         classify_all, count_n0_n)
@@ -156,7 +156,7 @@ def _bound_checks(ctx, g, lv: int, sigma4: int) -> list[Check]:
 
 def _spectrum_section(ctx, g, spec, bounds: bool):
     counts = amplitude_counts(spec)
-    lv, sigma = linf(spec), l4_fourth(spec, counts)
+    lv, sigma = len(counts) - 1, l4_fourth(spec, counts)  # counts runs 0..linf
     row = {"linf": lv, "nl": nonlinearity(spec, lv), "sigma4_spectrum": sigma}
     checks = [compare("parseval", parseval_sum(spec, counts), "==", ctx.q * ctx.q)]
     if bounds:

@@ -22,15 +22,18 @@ Tests cross-check the tables against the shift-xor product ``mul_raw``.
 For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
 closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
 
-Trace rows take a shorter path: ``monomial_trace(coef, e)`` gives the bits
-``Tr(coef * x^e)`` for every x with one gather from the trace table
-``exp_trace`` of ``Tr(g^n)``, n in [0, 2(q-1)), offset by ``log(coef)``, at
-the index array ``e*log(x) mod (q-1)``.  Truth tables, the auxiliary
-curve's S7 sum and the one-curve point count are XORs of such rows; the
-genus-2 point counts gather from the table too.  It is built on first use
-and each int32 index array the first time its exponent is used (4 MB per
-exponent at m = 20); both stay cached on the context.
-``monomial_table`` and ``trace_bits`` are its test oracle.
+Trace rows take a gather-free path.  Tr is GF(2)-linear, so for each c one
+mask ``dual(c)`` has Tr(c*y) = parity(dual(c) & y) for every y; ``dual`` is
+linear in c too, the XOR of the column masks dual(x^j) over the set bits j
+of c.  ``trace_row(terms)`` gives the bits Tr(sum of coef * x^e) for every
+x as the parity of XOR(dual(coef) & x^e): T ANDs and T-1 XORs over
+contiguous uint32 power arrays x^e, then one popcount.  Truth tables, the
+auxiliary curve's S7 sum and the one-curve point count are such rows.  Each
+power array is built the first time its exponent is used and stays cached on
+the context (4 MB per exponent at m = 20).  ``monomial_table`` and
+``trace_bits`` are its test oracle.  ``exp_trace``, the trace table of
+``Tr(g^n)`` for n in [0, 2(q-1)), is built on first use; ``vtrace_term`` and
+the genus-2 point counts gather from it.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -46,7 +49,9 @@ import numpy as np
 
 # Largest field any context accepts: every route holds whole-field int64
 # arrays, whose share of peak RSS grows about 4x per +2 in m (README gives
-# figures), and the Parseval sum is exact in int64 through m = 20.
+# figures), and the Parseval sum is exact in int64 through m = 20.  The
+# cached power arrays of trace_row are uint32, which holds every element
+# while MAX_M <= 32.
 MAX_M = 20
 # elements in a 2-D temporary of a batched whole-field pass; an x_alpha_all
 # block holds at least one whole 64-lane row, q / 2 words, more from m = 15
@@ -181,8 +186,16 @@ class FieldCtx:
                 raise AssertionError(f"trace of basis element not in GF(2): {t:#x}")
             mask |= t << i
         self._trace_mask = mask
+        # bit i of dual(x^j) is Tr(x^(i+j)): the traces t[k] = Tr(x^k), k < 2m-1
+        t, p = [], 1
+        for _ in range(2 * m - 1):
+            t.append((p & mask).bit_count() & 1)
+            p <<= 1
+            if p >> m:
+                p ^= modulus
+        self._dual_cols = [sum(t[i + j] << i for i in range(m)) for j in range(m)]
         self._build_tables()
-        self._log_multiples: dict[int, np.ndarray] = {}  # e -> e*log(x) mod (q-1)
+        self._powers: dict[int, np.ndarray] = {}  # e -> uint32 x^e for x in [0, q)
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -382,7 +395,7 @@ class FieldCtx:
 
     def monomial_table(self, coef: int, e: int) -> np.ndarray:
         """Array over all x in [0,q) of coef * x^e  (e >= 1): the oracle of
-        :meth:`monomial_trace`, reached only from tests and perfbench's tracer."""
+        :meth:`trace_row`, reached only from tests and perfbench's tracer."""
         if e < 1:
             raise ValueError("monomial exponent must be >= 1")
         q = self.q
@@ -400,26 +413,50 @@ class FieldCtx:
         half = self.trace_bits(self._exp[:self.q - 1])
         return _frozen(np.concatenate([half, half]))
 
-    def _log_multiple(self, e: int) -> np.ndarray:
-        """int32 e*log(x) mod (q-1) for x in [0, q), built the first time e is
-        used; entry 0 (x = 0 has no log) is a meaningless index in range."""
-        idx = self._log_multiples.get(e)
-        if idx is None:
-            n = self.q - 1
-            idx = self._log * (e % n)
-            idx %= n
-            idx = self._log_multiples[e] = _frozen(idx.astype(np.int32))
-        return idx
+    def dual(self, c: int) -> int:
+        """The mask d with Tr(c*y) = parity(d & y) for every y; dual(1) is the
+        trace mask.  Linear in c: the XOR of dual(x^j) over the set bits j."""
+        d = 0
+        for j, col in enumerate(self._dual_cols):
+            if c >> j & 1:
+                d ^= col
+        return d
 
-    def monomial_trace(self, coef: int, e: int) -> np.ndarray:
-        """uint8 bits Tr(coef * x^e) over all x in [0, q)  (e >= 1): one gather
-        from the trace table, offset by log(coef), at e*log(x) mod (q-1)."""
-        if e < 1:
-            raise ValueError("monomial exponent must be >= 1")
-        if coef == 0:
+    def _power(self, e: int) -> np.ndarray:
+        """uint32 x^e for x in [0, q)  (e >= 1), built the first time e is used,
+        in blocks, so that no whole-field index array adds to peak memory."""
+        pw = self._powers.get(e)
+        if pw is None:
+            n = self.q - 1
+            pw = np.empty(self.q, dtype=np.uint32)
+            for lo in range(0, self.q, BATCH):
+                idx = self._log[lo:lo + BATCH] * (e % n)
+                idx %= n
+                pw[lo:lo + BATCH] = self._exp[idx]
+            pw[0] = 0  # 0^e = 0; log(0) is a poison value
+            pw = self._powers[e] = _frozen(pw)
+        return pw
+
+    def trace_row(self, terms) -> np.ndarray:
+        """uint8 bits Tr(sum of coef * x^e) over all x in [0, q), for (coef, e)
+        pairs with e >= 1: the parity of XOR(dual(coef) & x^e), with no gather.
+        The row is a fresh array, so callers may write into it."""
+        acc = tmp = None
+        for coef, e in terms:
+            if e < 1:
+                raise ValueError("monomial exponent must be >= 1")
+            if not coef:
+                continue
+            d = np.uint32(self.dual(int(coef)))
+            if acc is None:
+                acc = np.bitwise_and(self._power(e), d)
+            else:
+                tmp = np.bitwise_and(self._power(e), d, out=tmp)
+                acc ^= tmp
+        if acc is None:
             return np.zeros(self.q, dtype=np.uint8)
-        bits = np.take(self.exp_trace[int(self._log[coef]):], self._log_multiple(e))
-        bits[0] = 0  # 0^e = 0
+        bits = np.bitwise_count(acc)
+        bits &= 1
         return bits
 
     def vtrace(self, vals) -> np.ndarray:

@@ -113,9 +113,8 @@ def classify(ctx: FieldCtx, curve: QuinticCurve) -> SymplecticData:
 def count_points(ctx: FieldCtx, curve: QuinticCurve) -> int:
     """1 + 2 * #{x : Tr(a x^5 + b x^3 + c x + d) = 0} by direct enumeration:
     two affine points over each such x, one point at infinity."""
-    ones = int(np.count_nonzero(ctx.monomial_trace(curve.a, 5)
-                                ^ ctx.monomial_trace(curve.b, 3)
-                                ^ ctx.monomial_trace(curve.c, 1)))
+    ones = int(np.count_nonzero(
+        ctx.trace_row([(curve.a, 5), (curve.b, 3), (curve.c, 1)])))
     # a trace-1 d flips every x
     return 2 * (ctx.q - ones if ctx.trace(curve.d) == 0 else ones) + 1
 

@@ -72,6 +72,18 @@ def test_truth_table_matches_trace_of_eval_g(case):
     assert [int(bit) for bit in tt] == [ctx.trace(eval_g(ctx, g, x)) for x in range(ctx.q)]
 
 
+@pytest.mark.parametrize("m", [13, 15, 17, 20])
+def test_truth_table_matches_monomial_rows_at_large_m(m):
+    # past the range eval_g can cover: the XOR of the oracle's trace rows
+    ctx = field(m)
+    q = ctx.q
+    g = TracePoly(a7=q - 3, b=(1, 0, q // 3, 5))
+    want = np.zeros(q, dtype=np.uint8)
+    for coef, e in [(g.a7, 7)] + [(bi, (1 << i) + 1) for i, bi in enumerate(g.b)]:
+        want ^= ctx.trace_bits(ctx.monomial_table(coef, e))
+    np.testing.assert_array_equal(truth_table(ctx, g), want)
+
+
 def test_reduce_difference_unit_example(ctx5):
     cv = reduce_difference(ctx5, TracePoly(a7=1), 1)
     assert (cv.a, cv.b, cv.c, cv.d) == (1, 0, 1, 1)

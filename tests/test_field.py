@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -184,18 +185,52 @@ def field(m):
 @example((4, 1, 5))  # gcd(e, q-1) = 5
 @example((3, 3, 7))  # e = q-1: x^e = 1 for every x != 0
 @example((5, 0, 3))  # coef = 0
-def test_monomial_trace_matches_trace_bits_of_monomial_table(case):
+def test_trace_row_matches_trace_bits_of_monomial_table(case):
     m, coef, e = case
     ctx = field(m)
-    got = ctx.monomial_trace(coef, e)
+    got = ctx.trace_row([(coef, e)])
     assert got.dtype == np.uint8
     np.testing.assert_array_equal(got, ctx.trace_bits(ctx.monomial_table(coef, e)))
-    assert ctx.monomial_trace(coef, e) is not got  # callers may XOR into it
+    assert ctx.trace_row([(coef, e)]) is not got  # callers may XOR into it
 
 
-def test_monomial_trace_rejects_exponent_zero(ctx5):
+def test_trace_row_rejects_exponent_zero(ctx5):
     with pytest.raises(ValueError):
-        ctx5.monomial_trace(1, 0)
+        ctx5.trace_row([(1, 0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+@example((4, 0))  # c = 0: the zero mask
+@example((4, 1))  # c = 1 at even m, where Tr(1) = 0
+@example((7, 1))
+def test_dual_mask_gives_the_trace_of_every_product(case):
+    m, c = case
+    ctx = field(m)
+    d = ctx.dual(c)
+    if c == 1:
+        assert d == ctx._trace_mask
+    y = np.arange(ctx.q, dtype=np.int64)
+    parity = np.bitwise_count(y & d) & 1
+    np.testing.assert_array_equal(parity, ctx.trace_bits(ctx.monomial_table(c, 1)))
+
+
+def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
+    ctx = FieldCtx(15)
+    terms = [(0x1f3, 7), (3, 2), (0, 3), (9, 5)]  # a zero coef builds no power array
+    ctx.trace_row(terms)  # warm: x^7, x^2 and x^5 are built once, here
+    assert sorted(ctx._powers) == [2, 5, 7]
+    for pw in ctx._powers.values():
+        assert pw.dtype == np.uint32 and pw.shape == (ctx.q,)
+    tracemalloc.start()
+    try:
+        ctx.trace_row(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an accumulator and a reused temporary (4q bytes each), then the uint8 row
+    assert peak <= 10 * ctx.q
+    assert sorted(ctx._powers) == [2, 5, 7]
 
 
 def test_even_degree_fields_supported():
@@ -207,6 +242,6 @@ def test_even_degree_fields_supported():
 def test_tables_are_read_only():
     # the CLI shares one context between commands: no caller may write into it
     ctx = FieldCtx(5)
-    for table in (ctx._exp, ctx._log, ctx.exp_trace, ctx._log_multiple(3)):
+    for table in (ctx._exp, ctx._log, ctx.exp_trace, ctx._power(3)):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
