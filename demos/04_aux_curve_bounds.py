@@ -26,11 +26,12 @@ print(f"character sum S7 = {s7};  count identity S7 + q + 1 = {s7 + q + 1}")
 assert pts.count_total == s7 + q + 1
 assert s7 * s7 <= 36 * q   # Weil strip for a genus-3 quotient
 
-res = count_n123(ctx, g, pts)
+shifts = classify_all(ctx, g)   # every shift at once; its eta feeds the curve
+res = count_n123(ctx, g, pts, shifts.eta)
 print(f"N1={res['N1']}, N2={res['N2']}, N3={res['N3']} over {len(pts.points)} points")
 print(f"assembled N = (N1 + N2 + N3 - #points)/4 = {res['N_assembled']}")
 
-direct = count_n0_n(ctx, g, classify_all(ctx, g))["N"]
+direct = count_n0_n(ctx, g, shifts)["N"]
 print(f"N by classifying every shift directly      = {direct}")
 assert res["N_assembled"] == direct
 

@@ -28,7 +28,9 @@ themselves tested rather than assumed.
 
 ``s7_sum``, ``enumerate_points`` and ``count_n123`` are whole-field array
 passes over every x (or every point) at once; the points are one (n, 2)
-int64 array of fibre pairs (x, v), (x, v+1), so eta is evaluated once per x.
+int64 array of fibre pairs (x, v), (x, v+1).  eta is computed once per G
+over every shift (``classify7.eta_all``, also ``classify_all``'s ``eta``),
+and ``count_n123`` reads it at alpha = x^(-3), once per fibre.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import TracePoly
-from .classify7 import eta_all, pair_zero_count
+from .classify7 import pair_zero_count
 from .field import FieldCtx
 from .report import Check, slack_bound
 
@@ -62,7 +64,7 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
     if ctx.m % 2 == 0:
         raise ValueError("point enumeration requires odd m")
     x = np.arange(1, ctx.q, dtype=np.int64)
-    v, on_curve = ctx.vsolve_quartic(ctx.vterm(gamma, x, 7))
+    v, on_curve = ctx.vsolve_quartic(ctx.shift_term(gamma, 7))
     x, v = x[on_curve], v[on_curve]
     pts = np.stack([x, v, x, v ^ 1], axis=1).reshape(-1, 2)
     return AuxCurvePoints(points=pts, count_total=len(pts) + 3)
@@ -72,12 +74,15 @@ def gamma_of(ctx: FieldCtx, g: TracePoly) -> int:
     return ctx.kth_root(ctx.inv(g.a7), 3)
 
 
-def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints) -> dict:
+def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints, eta: np.ndarray) -> dict:
     """Trace-condition counts over the enumerated points, bound checks, and
-    the inclusion-exclusion reassembly of N."""
+    the inclusion-exclusion reassembly of N.  ``eta`` is G's eta at every
+    shift (``classify7.eta_all``; entry k is alpha = k + 1)."""
     q = ctx.q
+    if len(eta) != q - 1:
+        raise ValueError(f"eta has {len(eta)} entries, not one per shift ({q - 1})")
     x, v = pts.points.T
-    eta = np.repeat(eta_all(ctx, g, ctx.vterm(1, x[::2], -3)), 2)  # alpha = x^(-3)
+    eta = np.repeat(eta[ctx.vterm(1, x[::2], -3) - 1], 2)  # alpha = x^(-3)
     t1 = ctx.vtrace_term(eta, v, 3)
     t2 = ctx.vtrace_term(eta, ctx.vterm(1, v, 2) ^ v, 1)
     n1, n2 = int(np.count_nonzero(t1)), int(np.count_nonzero(t2))

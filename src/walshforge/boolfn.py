@@ -93,23 +93,22 @@ def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:
 def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]:
     """:func:`reduce_difference` for every alpha = 1..q-1: arrays a, b, c, d
     (entry k is alpha = k + 1), with the same two c-term spellings compared."""
-    alpha = np.arange(1, ctx.q, dtype=np.int64)
     a7 = g.a7
-    a = ctx.vterm(a7, alpha, 2)
-    b = ctx.vterm(a7, alpha, 4) ^ ctx.vterm(ctx.sqrt(a7), alpha, (1, 2))
-    c = (ctx.vterm(a7, alpha, 6)
-         ^ ctx.vterm(ctx.frac_pow(a7, 1, 4), alpha, (3, 4))
-         ^ ctx.vterm(ctx.frac_pow(a7, 1, 2), alpha, (5, 2)))
-    d = ctx.vterm(a7, alpha, 7)
-    csum = csum_alt = np.zeros_like(alpha)
+    a = ctx.shift_term(a7, 2)
+    b = ctx.shift_term(a7, 4) ^ ctx.shift_term(ctx.sqrt(a7), (1, 2))
+    c = (ctx.shift_term(a7, 6)
+         ^ ctx.shift_term(ctx.frac_pow(a7, 1, 4), (3, 4))
+         ^ ctx.shift_term(ctx.frac_pow(a7, 1, 2), (5, 2)))
+    d = ctx.shift_term(a7, 7)
+    csum = csum_alt = np.zeros(ctx.q - 1, dtype=np.int64)
     for i, bi in enumerate(g.b):
         if bi:
-            csum = csum ^ ctx.vterm(ctx.frac_pow(bi, 1, 1 << i), alpha, (1, 1 << i))
-            csum ^= ctx.vterm(bi, alpha, 1 << i)
-            term = ctx.vterm(bi, alpha, 1 + (1 << i))
+            csum = csum ^ ctx.shift_term(ctx.frac_pow(bi, 1, 1 << i), (1, 1 << i))
+            csum ^= ctx.shift_term(bi, 1 << i)
+            term = ctx.shift_term(bi, 1 + (1 << i))
             csum_alt = csum_alt ^ ctx.vterm(1, term, (1, 1 << i)) ^ term
             d ^= term
-    bad = ctx.vterm(csum, alpha, 1) != csum_alt
+    bad = ctx.vterm(csum, np.arange(1, ctx.q, dtype=np.int64), 1) != csum_alt
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         raise AssertionError(

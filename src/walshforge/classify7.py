@@ -15,6 +15,9 @@ no part of it is trusted by construction.
 every alpha at once; the per-alpha :func:`classify_alpha` is its test
 oracle.  It finds v by the two half-trace steps above; :func:`classify_all`
 takes the same trace-0 root from the closed form of ``FieldCtx.vsolve_quartic``.
+Its monomials in alpha are ``FieldCtx.shift_term`` products over the shift
+axis.  eta is computed once per G, by :func:`eta_all`; the auxiliary curve
+reads the same array rather than evaluating eta again.
 
 The module also carries the family's bound checkers (all verdicts in exact
 integer arithmetic):
@@ -109,16 +112,17 @@ class ShiftArrays:
     v: np.ndarray
 
 
-def eta_all(ctx: FieldCtx, g: TracePoly, alpha: np.ndarray) -> np.ndarray:
-    """:func:`eta_of_alpha` elementwise over an array of nonzero alphas."""
-    if np.count_nonzero(alpha == 0):
-        raise ValueError("alpha must be nonzero")
-    e = 1 ^ ctx.vterm(ctx.frac_pow(g.a7, 1, 4), alpha, (7, 4))
-    e ^= ctx.vterm(ctx.frac_pow(g.a7, 1, 2), alpha, (7, 2))
+def eta_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
+    """:func:`eta_of_alpha` for every alpha = 1..q-1 (entry k is alpha = k + 1).
+    Computed once per G: :func:`classify_all` keeps it as ``eta``, and the
+    auxiliary curve's ``count_n123`` reads it at alpha = x^(-3)."""
+    e = ctx.shift_term(ctx.frac_pow(g.a7, 1, 4), (7, 4))
+    e ^= 1
+    e ^= ctx.shift_term(ctx.frac_pow(g.a7, 1, 2), (7, 2))
     for i, bi in enumerate(g.b):
         if bi:  # t^(2^-i) = b_i^(2^-i) * alpha^((1+2^i)/2^i)
-            e ^= (ctx.vterm(ctx.frac_pow(bi, 1, 1 << i), alpha, (1 + (1 << i), 1 << i))
-                  ^ ctx.vterm(bi, alpha, 1 + (1 << i)))
+            e ^= ctx.shift_term(ctx.frac_pow(bi, 1, 1 << i), (1 + (1 << i), 1 << i))
+            e ^= ctx.shift_term(bi, 1 + (1 << i))
     return e
 
 
@@ -127,13 +131,12 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
     if ctx.m % 2 == 0:
         raise ValueError("trichotomy requires odd m")
     q = ctx.q
-    alpha = np.arange(1, q, dtype=np.int64)
-    eta = eta_all(ctx, g, alpha)
+    eta = eta_all(ctx, g)
     inv_a7 = ctx.inv(g.a7)
-    lambda_zero = ctx.vterm(1, alpha, 7) == inv_a7
+    lambda_zero = ctx.shift_term(1, 7) == inv_a7
     # on the lambda_zero fibre this is the cube root of 1, so ell = 1 there as
     # well, and Tr(1) = 1 (odd m) sends those shifts to the 2q branch below
-    ell = ctx.vterm(ctx.kth_root(inv_a7, 3), alpha, (-7, 3))
+    ell = ctx.shift_term(ctx.kth_root(inv_a7, 3), (-7, 3))
     v, split = ctx.vsolve_quartic(ell)  # split: Tr(ell) = 0
     t1 = ctx.vtrace_term(eta, v, 3)
     t2 = ctx.vtrace_term(eta, ctx.vterm(1, v, 2) ^ v, 1)

@@ -39,7 +39,7 @@ from .genus2 import (classify, classify_curves, count_points, count_points_all,
 from .spectrum import amplitude_counts, fwht, l4_fourth, nonlinearity, parseval_sum
 from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
-                        classify_all, count_n0_n)
+                        classify_all, count_n0_n, eta_all)
 from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from .corpus import standard_corpus
 from .report import Check, Report, compare
@@ -135,6 +135,9 @@ def _check_s(s: int, ctx: FieldCtx) -> None:
 
 
 def _corpus(args, ctx: FieldCtx) -> list[TracePoly]:
+    # the generator keeps 64 bits of state, so a wider seed would alias one
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError(f"--seed must be in [0, 2^64), got {args.seed:#x}")
     if not 1 <= args.count <= MAX_COUNT:
         raise UsageError(f"{args.cmd} needs 1 <= --count <= {MAX_COUNT}, got {args.count}")
     _check_s(args.s, ctx)
@@ -230,11 +233,12 @@ def _genus2_section(ctx, route: dict, table):
     return {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}, checks
 
 
-def _auxcurve_section(ctx, g, predicted_n: int | None):
+def _auxcurve_section(ctx, g, eta, predicted_n: int | None):
+    """The auxiliary curve's checks; ``eta`` is G's eta at every shift."""
     gamma = gamma_of(ctx, g)
     pts = enumerate_points(ctx, gamma)
     s7 = s7_sum(ctx, gamma)
-    counted = count_n123(ctx, g, pts)
+    counted = count_n123(ctx, g, pts, eta)
     checks = [compare("aux_count_identity", pts.count_total, "==", s7 + ctx.q + 1),
               compare("aux_s7_weil", s7 * s7, "<=", 36 * ctx.q), *counted["bounds"]]
     if predicted_n is not None:
@@ -269,13 +273,16 @@ def cmd_analyze(args) -> Report:
         add(_spectrum_section(ctx, g, fwht(truth_table(ctx, g)), "bounds" in checks_sel))
     if "autocorr" in checks_sel:
         add(_autocorr_section(ctx, table, summary.get("sigma4_spectrum")))
+    shifts = None
     if "predictor" in checks_sel:
-        add(_predictor_section(ctx, g, classify_all(ctx, g), summary,
+        shifts = classify_all(ctx, g)
+        add(_predictor_section(ctx, g, shifts, summary,
                                note="(N0, N) predictor vs autocorrelation"))
     if "genus2" in checks_sel:
         add(_genus2_section(ctx, _genus2_route(ctx, g), table))
     if "auxcurve" in checks_sel:
-        add(_auxcurve_section(ctx, g, summary.get("predicted_N")))
+        eta = eta_all(ctx, g) if shifts is None else shifts.eta
+        add(_auxcurve_section(ctx, g, eta, summary.get("predicted_N")))
     config = {"cmd": "analyze", "m": ctx.m, "modulus": hex(ctx.modulus),
               "g": tracepoly_to_dict(g), "checks": list(checks_sel)}
     return Report(schema=SCHEMA, config=config, checks=checks, summary=summary)
@@ -352,7 +359,7 @@ def cmd_verify(args) -> Report:
                 rec["count"] = int(route["count"][k])
                 rec["w"] = int(route["w"][k])
         if "auxcurve" in checks_sel:
-            g_checks += _auxcurve_section(ctx, g, counts["predicted_N"])[1]
+            g_checks += _auxcurve_section(ctx, g, shifts.eta, counts["predicted_N"])[1]
         checks += _tagged(g_checks, gi)
     checks.insert(0, compare("predictor_oracle_agreement", total_mism, "==", 0,
                              note=f"{alphas} shifts checked"))
@@ -440,7 +447,7 @@ def _add_g(p: argparse.ArgumentParser) -> None:
 
 def _add_corpus(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda v: int(v, 0), default=0,
-                   help="64-bit corpus seed")
+                   help="corpus seed, an integer in [0, 2^64)")
     p.add_argument("--count", "--trials", dest="count", type=int, default=1,
                    help="number of sampled G")
     p.add_argument("--s", type=int, default=0,

@@ -12,12 +12,16 @@ tables, and a command at another field replaces it.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``vterm``, ``vtrace_term``, ``vlog``, ``vsolve_quartic``,
-``trace_bits``, ``monomial_table``), which act elementwise on int64 arrays
-of elements.  ``vterm(coef, x, e)``, every per-shift product, is one gather
-from the doubled antilog table at log(coef) + (e*log(x) mod (q-1)), e an
-int or a (num, den) fraction; ``vtrace_term`` reads Tr at the same index.
-Tests cross-check the tables against the shift-xor product ``mul_raw``.
+helpers (``shift_term``, ``vterm``, ``vtrace_term``, ``vlog``, ``vexp``,
+``vsolve_quartic``, ``trace_bits``, ``monomial_table``), which act
+elementwise on int64 arrays of elements.  ``vterm(coef, x, e)`` is one
+gather from the doubled antilog table at log(coef) + (e*log(x) mod (q-1)),
+e an int or a (num, den) fraction; ``vtrace_term`` reads Tr at the same
+index.  ``shift_term(coef, e)`` is the same product over the shift axis
+alpha = 1..q-1, whose logs are the table's own ``_log[1:]``: no log gather,
+no zero mask.  Every scalar-coefficient monomial of a per-shift route is a
+``shift_term``; ``vterm`` takes arrays of other elements.  Tests cross-check
+the tables against the shift-xor product ``mul_raw``.
 
 For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
 closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
@@ -351,6 +355,19 @@ class FieldCtx:
             zero = zero | (coef == 0)
         return self._log[x] * e % n + self._log[coef], zero
 
+    def shift_term(self, coef: int, e) -> np.ndarray:
+        """coef * alpha^e for every shift alpha = 1..q-1 (entry k is alpha = k + 1),
+        e an int or a (num, den) pair: one gather at log(coef) + (e*log(alpha)
+        mod (q-1)), where log(alpha) is the table's own ``_log[1:]``.  No alpha
+        is 0, so no zero mask is needed; a zero coef gives zeros."""
+        n = self.q - 1
+        if not coef:
+            return np.zeros(n, dtype=np.int64)
+        idx = self._log[1:] * (self._frac_exponent(*e) if isinstance(e, tuple) else e % n)
+        idx %= n
+        idx += self._log[coef]
+        return self._exp[idx]
+
     def vterm(self, coef, x, e) -> np.ndarray:
         """coef * x^e elementwise, one gather from the doubled antilog table."""
         idx, zero = self._term_index(coef, x, e)
@@ -368,6 +385,11 @@ class FieldCtx:
         if np.count_nonzero(x == 0):
             raise ValueError("0 has no discrete logarithm")
         return self._log[x]
+
+    def vexp(self, n) -> np.ndarray:
+        """g^n for int64 n in [0, 2(q-1)), read from the doubled antilog table,
+        so a sum of two :meth:`vlog` values needs no reduction."""
+        return self._exp[n]
 
     @cached_property
     def _quartic_basis(self) -> list[int]:

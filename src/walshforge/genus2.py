@@ -16,8 +16,11 @@ rescaling to a = b form, is a test oracle in ``tests/oracles.py``.
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
 oracles (``count_points`` also counts the one curve of ``walshforge curve``).
-``classify_curves`` finds W by inserting the rows E(e_j) << m | e_j one at a
-time into a basis kept by leading bit, one ``min(v, v ^ slot)`` per step.
+``classify_curves`` builds the rows E(e_j) << m | e_j of a block of curves
+from log a and log b, gathered once per block, and finds W by inserting them
+one at a time into a basis kept by leading bit, one ``min(v, v ^ slot)`` per
+step; Q is evaluated on the kernel rows alone.  Like ``e_poly`` it refuses
+a = 0.
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
 m-sequence read from the cached trace table, so a curve's row of traces is
@@ -130,21 +133,29 @@ class CurveArrays:
 
 def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> CurveArrays:
-    """:func:`classify` for the curves (a[k], b[k], c[k], .) at once.
+    """:func:`classify` for the curves (a[k], b[k], c[k], .) at once; every
+    a[k] must be nonzero.
 
     The rows E(e_j) << m | e_j (e_j = 2^j; the low half tracks which basis
-    combination a row is) of a block of curves are an (m, k) array, one
-    gather per term of E, inserted one at a time into ``slots``: slots[h]
-    is the basis row led by bit m+h, 0 while empty.  For h from m-1 down to
-    0, ``min(v, v ^ slots[h])`` clears bit m+h of v where it is set and the
-    slot is filled; the reduced row then fills the slot of its leading bit.
-    Rows whose E half clears (they go to the scratch slot m) are a basis of
-    W.  Q is linear on W, so it vanishes on W iff it vanishes on that
-    basis; Q(v) = Tr(a v^5) + Tr(b v^3) + Tr(c v), as Tr(c^2 v^2) = Tr(c v).
+    combination a row is) of a block of curves are an (m, k) array.  Each
+    term of E is one antilog gather at log(a) or log(b), read once per
+    block, plus the log of e_j^16, e_j^8, e_j^2 or e_j; the b terms are
+    masked where b = 0.  The rows are inserted one at a time into
+    ``slots``: slots[h] is the basis row led by bit m+h, 0 while empty.  For
+    h from m-1 down to 0, ``min(v, v ^ slots[h])`` clears bit m+h of v where
+    it is set and the slot is filled; the reduced row then fills the slot of
+    its leading bit.  Rows whose E half clears (they go to the scratch slot
+    m) are a basis of W, and w counts them per curve.  Q is linear on W, so
+    it vanishes on W iff it vanishes on that basis; Q(v) = Tr(a v^5) +
+    Tr(b v^3) + Tr(c v), as Tr(c^2 v^2) = Tr(c v), is evaluated on the
+    kernel rows alone.
     """
-    m = ctx.m
+    if np.count_nonzero(a == 0):
+        raise ValueError("degenerate curve: coefficient a of x^5 must be nonzero")
+    m, n = ctx.m, ctx.q - 1
     basis = np.int64(1) << np.arange(m, dtype=np.int64)[:, None]
-    e16, e8, e2 = (ctx.vterm(1, basis, e) for e in (16, 8, 2))
+    l1 = ctx.vlog(basis)
+    l16, l8, l2 = (l1 * e % n for e in (16, 8, 2))
     lead = np.full(ctx.q, m, dtype=np.int64)  # leading bit of an E half; 0 -> scratch slot m
     for h in range(m):
         lead[1 << h:2 << h] = h
@@ -154,8 +165,11 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     for lo in range(0, len(a), step):
         sl = slice(lo, lo + step)
         ak, bk, ck = a[sl], b[sl], c[sl]
-        rows = (ctx.vterm(e16, ak, 4) ^ ctx.vterm(basis, ak, 1)
-                ^ ctx.vterm(e8, bk, 4) ^ ctx.vterm(e2, bk, 2))
+        la, lb = ctx.vlog(ak), ctx.vlog(np.where(bk == 0, 1, bk))
+        rows = ctx.vexp(lb * 4 % n + l8) ^ ctx.vexp(lb * 2 % n + l2)  # b^4 e^8 + b^2 e^2
+        rows *= bk != 0
+        rows ^= ctx.vexp(la * 4 % n + l16)
+        rows ^= ctx.vexp(la + l1)
         rows <<= m
         rows |= basis
         slots = np.zeros((m + 1, len(ak)), dtype=np.int64)
@@ -165,11 +179,12 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
                 np.bitwise_xor(row, slots[h], out=flip)
                 np.minimum(row, flip, out=row)
             slots[lead[row >> m], cols] = row
-        kernel = rows < ctx.q
-        v = np.where(kernel, rows, 0)  # Q(0) = 0 on the non-kernel rows
-        qv = ctx.vtrace_term(ak, v, 5) ^ ctx.vtrace_term(bk, v, 3) ^ ctx.vtrace_term(ck, v, 1)
-        w[sl] = np.count_nonzero(kernel, axis=0)
-        vanishes[sl] = np.count_nonzero(qv, axis=0) == 0
+        j, k = np.nonzero(rows < ctx.q)  # the kernel rows, and their curves
+        v = rows[j, k]
+        qv = (ctx.vtrace_term(ak[k], v, 5) ^ ctx.vtrace_term(bk[k], v, 3)
+              ^ ctx.vtrace_term(ck[k], v, 1))
+        w[sl] = np.bincount(k, minlength=len(ak))
+        vanishes[sl] = np.bincount(k[qv == 1], minlength=len(ak)) == 0
     if np.count_nonzero((w[vanishes] + m) % 2):
         bad = int(w[vanishes][(w[vanishes] + m) % 2 == 1][0])
         raise AssertionError(f"2^w*q not a square: w={bad}, m={m}")

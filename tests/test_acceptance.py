@@ -242,10 +242,11 @@ def test_09_auxiliary_curve(verdict):
                     bad += 1
                 if s7 * s7 > 36 * ctx.q:
                     bad += 1
-                res = count_n123(ctx, g, pts)
+                shifts = classify_all(ctx, g)
+                res = count_n123(ctx, g, pts, shifts.eta)
                 if not all(c.passed for c in res["bounds"] if c.hard):
                     bad += 1
-                if res["N_assembled"] != count_n0_n(ctx, g, classify_all(ctx, g))["N"]:
+                if res["N_assembled"] != count_n0_n(ctx, g, shifts)["N"]:
                     bad += 1
                 checked += 1
     verdict(9, "auxiliary-curve-counts-and-bounds", bad == 0,

@@ -3,7 +3,7 @@ import pytest
 
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.boolfn import TracePoly
-from walshforge.classify7 import classify_all, count_n0_n, eta_of_alpha
+from walshforge.classify7 import classify_all, count_n0_n, eta_all, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.rng import SplitRng
 
@@ -87,14 +87,14 @@ def test_bounds_hold(m, s):
                   b=tuple(rng.below(ctx.q) for _ in range(s)) + (1 + rng.below(ctx.q - 1),))
     assert g.s == s
     pts = enumerate_points(ctx, gamma_of(ctx, g))
-    res = count_n123(ctx, g, pts)
+    res = count_n123(ctx, g, pts, eta_all(ctx, g))
     hard = [c for c in res["bounds"] if c.hard]
     assert hard and all(c.passed for c in hard)
 
 
 def test_bounds_skipped_below_s2(ctx5):
     g = TracePoly(a7=1)
-    res = count_n123(ctx5, g, enumerate_points(ctx5, gamma_of(ctx5, g)))
+    res = count_n123(ctx5, g, enumerate_points(ctx5, gamma_of(ctx5, g)), eta_all(ctx5, g))
     assert all(not c.hard for c in res["bounds"])
     assert any("s>=2" in c.note or "s>=2" in str(c.rhs) for c in res["bounds"])
 
@@ -107,8 +107,27 @@ def test_assembly_reproduces_predictor_count(m):
         g = TracePoly(a7=1 + rng.below(ctx.q - 1),
                       b=tuple(rng.below(ctx.q) for _ in range(3)))
         pts = enumerate_points(ctx, gamma_of(ctx, g))
-        res = count_n123(ctx, g, pts)
-        assert res["N_assembled"] == count_n0_n(ctx, g, classify_all(ctx, g))["N"]
+        shifts = classify_all(ctx, g)
+        res = count_n123(ctx, g, pts, shifts.eta)
+        assert res["N_assembled"] == count_n0_n(ctx, g, shifts)["N"]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+def test_n123_same_on_either_eta(m):
+    # the CLI hands count_n123 classify_all's eta when the predictor ran, and
+    # eta_all's otherwise: both must give the same counts, and the wrong length
+    # is refused
+    ctx = FieldCtx(m)
+    rng = SplitRng(31 + m)
+    for s in (0, 2):
+        g = TracePoly(a7=1 + rng.below(ctx.q - 1),
+                      b=tuple(rng.below(ctx.q) for _ in range(s + 1)))
+        pts = enumerate_points(ctx, gamma_of(ctx, g))
+        eta = eta_all(ctx, g)
+        assert eta.tolist() == [eta_of_alpha(ctx, g, a) for a in range(1, ctx.q)]
+        assert count_n123(ctx, g, pts, classify_all(ctx, g).eta) == count_n123(ctx, g, pts, eta)
+        with pytest.raises(ValueError, match="one per shift"):
+            count_n123(ctx, g, pts, eta[1:])
 
 
 def test_even_m_rejected():

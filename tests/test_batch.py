@@ -19,7 +19,7 @@ import walshforge.genus2 as genus2
 from walshforge.autocorr import x_alpha_all
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.boolfn import TracePoly, reduce_difference, reduce_difference_all, truth_table
-from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_of_alpha
+from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_all, eta_of_alpha
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
                                count_points_all)
@@ -49,7 +49,7 @@ ODD_SMALL = st.sampled_from([3, 5, 7, 9]).flatmap(g_on)
 
 # -- field vector helpers ------------------------------------------------------
 
-@pytest.mark.parametrize("m", [3, 4, 5, 9, 17])
+@pytest.mark.parametrize("m", [*range(2, 13), 17])
 def test_vector_helpers_match_scalar(m):
     # every helper against the scalar operation it vectorizes; both read the
     # log tables, which test_tables_match_shift_xor_product checks
@@ -99,6 +99,21 @@ def test_vector_helpers_match_scalar(m):
     else:
         with pytest.raises(ValueError, match="odd m"):
             ctx.vsolve_quartic(x)
+    # shift_term: the same products over the shift axis alpha = 1..q-1, against
+    # vterm on every shift and against mul and pow (or frac_pow) on the sampled ones
+    alpha = np.arange(1, ctx.q, dtype=np.int64)
+    sampled = np.unique(x[x != 0])
+    exps = [0, 1, 3, 7, -1, -7, ctx.q - 1, 5 * ctx.q + 3,
+            (1, 4), (7, 4), (5, 2), (-1, 2), (-3, 4), (0, 2)]
+    if m % 2:
+        exps += [(1, 3), (-7, 3)]
+    for coef in (0, 1, ctx.q - 1, int(y[1]) | 1):
+        for n in exps:
+            got = ctx.shift_term(coef, n)
+            assert got.dtype == np.int64 and got.tolist() == ctx.vterm(coef, alpha, n).tolist()
+            power = ((lambda a: ctx.frac_pow(a, *n)) if isinstance(n, tuple)
+                     else (lambda a: ctx.pow(a, n)))
+            assert got[sampled - 1].tolist() == [ctx.mul(coef, power(int(a))) for a in sampled]
 
 
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
@@ -301,6 +316,13 @@ def test_curve_blocks_match_scalar_classify(monkeypatch):
             assert {w for w, _ in found} == {0, 2, 4}
 
 
+def test_curves_with_zero_a_are_refused():
+    # a = 0 is no quintic, as e_poly and QuinticCurve say; its logs do not exist
+    ctx = CTX[7]
+    with pytest.raises(ValueError, match="coefficient a of x\\^5 must be nonzero"):
+        classify_curves(ctx, np.array([3, 0, 5]), np.array([1, 2, 0]), np.array([4, 4, 4]))
+
+
 def test_batch_temporaries_stay_small():
     # a (q-1) x q array at m = 11 would be 32 MB of int64
     ctx = CTX[11]
@@ -335,13 +357,18 @@ def test_x_alpha_temporaries_stay_small():
 
 def test_c_spelling_disagreement_is_caught(monkeypatch):
     ctx = CTX[7]
-    real = ctx.vterm
+    real_shift, real_term = ctx.shift_term, ctx.vterm
 
-    def skewed(coef, x, e):  # flips a bit of both square roots of b_1 terms,
-        out = real(coef, x, e)  # sqrt(b_1) * alpha^(1/2) and (b_1 * alpha^3)^(1/2)
-        return out ^ 1 if e == (1, 2) and coef in (ctx.sqrt(6), 1) else out
+    def skewed_shift(coef, e):  # flips a bit of both square roots of b_1 terms,
+        out = real_shift(coef, e)  # sqrt(b_1) * alpha^(1/2) on the shift axis ...
+        return out ^ 1 if e == (1, 2) and coef == ctx.sqrt(6) else out
 
-    monkeypatch.setattr(ctx, "vterm", skewed)
+    def skewed_term(coef, x, e):  # ... and (b_1 * alpha^3)^(1/2), a root of an array
+        out = real_term(coef, x, e)
+        return out ^ 1 if e == (1, 2) and coef == 1 else out
+
+    monkeypatch.setattr(ctx, "shift_term", skewed_shift)
+    monkeypatch.setattr(ctx, "vterm", skewed_term)
     with pytest.raises(AssertionError, match="c-term spellings disagree"):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
 
@@ -453,5 +480,5 @@ def test_aux_curve_passes_match_scalar(mg):
     assert rows == scalar_points(ctx, gamma)  # (x, v), (x, v^1) order kept
     assert s7_sum(ctx, gamma) == sum(1 - 2 * ctx.trace(ctx.mul(gamma, ctx.pow(x, 7)))
                                      for x in range(ctx.q))
-    res = count_n123(ctx, g, pts)
+    res = count_n123(ctx, g, pts, eta_all(ctx, g))
     assert (res["N1"], res["N2"], res["N3"]) == scalar_n123(ctx, g, rows)

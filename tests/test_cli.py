@@ -169,13 +169,21 @@ def _fibre_dropped(real):
 
 
 def _n_fibre_dropped(real):
-    def corrupt(ctx, g, pts):  # the fibre of one 8q shift alpha = x^(-3) unseen
+    def corrupt(ctx, g, pts, eta):  # the fibre of one 8q shift alpha = x^(-3) unseen
         predicted = classify_all(ctx, g).predicted
         alpha = 1 + _first(predicted == 8 * ctx.q)
         x = ctx.kth_root(ctx.inv(alpha), 3)
         keep = pts.points[:, 0] != x
         assert np.count_nonzero(~keep) == 2
-        return real(ctx, g, dataclasses.replace(pts, points=pts.points[keep]))
+        return real(ctx, g, dataclasses.replace(pts, points=pts.points[keep]), eta)
+    return corrupt
+
+
+def _eta_zeroed(real):
+    def corrupt(ctx, g, pts, eta):  # eta of one 8q shift, as the aux route reads it,
+        eta = eta.copy()            # zeroed: both its points fail both trace tests
+        eta[_first(classify_all(ctx, g).predicted == 8 * ctx.q)] = 0
+        return real(ctx, g, pts, eta)
     return corrupt
 
 
@@ -199,6 +207,7 @@ NEGATIVE_CONTROLS = [
      {"curve_count_membership"}),
     ("enumerate_points", _fibre_dropped, {"aux_count_identity"}, {"aux_count_identity"}),
     ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}, {"aux_n_assembly"}),
+    ("count_n123", _eta_zeroed, {"aux_n_assembly"}, {"aux_n_assembly"}),
     ("fwht", _spectrum_moved, {"parseval"}, {"sigma4_cross_path"}),
 ]
 
@@ -251,6 +260,17 @@ def test_negative_coefficients_exit_2(capsys, argv):
 def test_empty_corpus_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and "--count" in err
+
+
+@pytest.mark.parametrize("cmd", ["scan", "verify"])
+@pytest.mark.parametrize("seed,code", [("-1", 2), (str(2 ** 64), 2), ("0x1ffffffffffffffff", 2),
+                                       ("0xffffffffffffffff", 0)])
+def test_seed_outside_64_bits_exits_2(capsys, cmd, seed, code):
+    # the generator keeps 64 bits of state: -1, 2^64 - 1 and 2^65 - 1 would
+    # draw one corpus under three echoed seeds
+    got, out, err = run(capsys, cmd, "--m", "5", "--count", "1", "--seed", seed)
+    assert got == code
+    assert ("--seed" in err and not out) if code else (out and not err)
 
 
 @pytest.mark.parametrize("argv", [
