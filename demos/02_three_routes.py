@@ -17,11 +17,14 @@ ctx = FieldCtx(7)
 g = TracePoly(a7=0x5, b=(0x1, 0x4))
 q = ctx.q
 
+# routes 1 and 2 read the same truth table bits[x] = Tr(G(x))
+bits = truth_table(ctx, g)
+
 # route 1: spectral
-sigma_spectral = l4_fourth(fwht(truth_table(ctx, g)))
+sigma_spectral = l4_fourth(fwht(bits))
 
 # route 2: direct shift sums (no transform involved)
-table = x_alpha_all(ctx, g)
+table = x_alpha_all(ctx, bits)
 sigma_shift = sigma_autocorr(table)
 
 # route 3: classify every shift algebraically, then assemble; entry k of the

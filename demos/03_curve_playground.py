@@ -13,7 +13,8 @@ one G at once, where the counts also reproduce the measured X_alpha.
 import numpy as np
 
 from walshforge import (FieldCtx, TracePoly, classify, classify_curves, count_points,
-                        count_points_all, curve_corpus, reduce_difference_all, x_alpha_all)
+                        count_points_all, curve_corpus, reduce_difference_all, truth_table,
+                        x_alpha_all)
 
 ctx = FieldCtx(9)
 q = ctx.q
@@ -32,7 +33,7 @@ g = TracePoly(a7=0x21, b=(0, 0x5))
 a, b, c, d = reduce_difference_all(ctx, g)  # entry k is the curve of alpha = k + 1
 curves = classify_curves(ctx, a, b, c)      # allowed counts: 1 + q +- radius
 counts = count_points_all(ctx, a, b, c, d)
-table = x_alpha_all(ctx, g)                 # measured on the truth table alone
+table = x_alpha_all(ctx, truth_table(ctx, g))  # measured on the truth table alone
 for alpha in (0x1, 0x2, 0x17):
     k = alpha - 1
     n = int(counts[k])

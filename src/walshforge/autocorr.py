@@ -3,8 +3,8 @@
 X_alpha = (sum_x (-1)^(Tr(G(x) + G(x+alpha))))^2.  The sums here are direct
 counts over the truth table, never through the Walsh transform, so that
 q^2 + sum_alpha X_alpha = l4_fourth(fwht(table)) stays a genuine cross-check
-between two independent computation paths.  The table is an int64 array
-indexed by alpha in [0, q), entry 0 set to 0.
+between two independent computation paths.  The input is f's truth table,
+the output an int64 array indexed by alpha in [0, q), entry 0 set to 0.
 
 ``x_alpha_all`` counts the mismatches of f(x) and f(x + alpha) for every
 alpha on the truth table packed 64 x to a uint64 word.  With
@@ -27,20 +27,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import TracePoly, truth_table
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
 X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
 
 
-def x_alpha_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
-    """The X_alpha table; about q^2 / 128 word operations, in blocks of whole
-    64-lane hi rows of at most ``BATCH`` words, or one row if it holds more."""
+def x_alpha_all(ctx: FieldCtx, bits: np.ndarray) -> np.ndarray:
+    """The X_alpha table of the truth table ``bits``, which it only reads; about
+    q^2 / 128 word operations, in blocks of whole 64-lane hi rows of at most
+    ``BATCH`` words, or one row if it holds more."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     q = ctx.q
     lanes = min(q, 64)  # fields with q < 64 fill one partial word
-    words = pack_bits(truth_table(ctx, g))
+    words = pack_bits(bits)
     n_words = len(words)
     # perm[lo] packs f(x + lo); perm[s + r] is perm[r] delta-swapped by s = 2^b
     perm = np.empty((lanes, n_words), dtype=np.uint64)

@@ -268,9 +268,11 @@ def cmd_analyze(args) -> Report:
         summary.update(row)
         checks.extend(section_checks)
 
-    table = x_alpha_all(ctx, g) if with_table else None
-    if "spectrum" in checks_sel or "bounds" in checks_sel:
-        add(_spectrum_section(ctx, g, fwht(truth_table(ctx, g)), "bounds" in checks_sel))
+    spectral = "spectrum" in checks_sel or "bounds" in checks_sel
+    bits = truth_table(ctx, g) if spectral or with_table else None
+    table = x_alpha_all(ctx, bits) if with_table else None
+    if spectral:
+        add(_spectrum_section(ctx, g, fwht(bits), "bounds" in checks_sel))
     if "autocorr" in checks_sel:
         add(_autocorr_section(ctx, table, summary.get("sigma4_spectrum")))
     shifts = None
@@ -330,9 +332,9 @@ def cmd_verify(args) -> Report:
     alphas = 0
     total_mism = 0
     for gi, g in enumerate(corpus):
-        table = x_alpha_all(ctx, g)
-        measured, auto_checks = _autocorr_section(ctx, table,
-                                                  l4_fourth(fwht(truth_table(ctx, g))))
+        bits = truth_table(ctx, g)  # both sides of the sigma4 cross-check read it
+        table = x_alpha_all(ctx, bits)
+        measured, auto_checks = _autocorr_section(ctx, table, l4_fourth(fwht(bits)))
         # verify keeps the cross-path check, and the trichotomy only when it fails
         g_checks = [c for c in auto_checks if c.name == "sigma4_cross_path" or not c.passed]
         shifts = classify_all(ctx, g)

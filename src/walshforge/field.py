@@ -12,12 +12,11 @@ tables, and a command at another field replaces it.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``shift_term``, ``vterm``, ``vtrace_term``, ``vlog``, ``vexp``,
-``vsolve_quartic``, ``trace_bits``, ``monomial_table``), which act
-elementwise on int64 arrays of elements.  ``vterm(coef, x, e)`` is one
-gather from the doubled antilog table at log(coef) + (e*log(x) mod (q-1)),
-e an int or a (num, den) fraction; ``vtrace_term`` reads Tr at the same
-index.  ``shift_term(coef, e)`` is the same product over the shift axis
+helpers (``shift_term``, ``vterm``, ``vlog``, ``vexp``, ``vsolve_quartic``,
+``monomial_table``), which act elementwise on int64 arrays of elements.
+``vterm(coef, x, e)`` is one gather from the doubled antilog table at
+log(coef) + (e*log(x) mod (q-1)), e an int or a (num, den) fraction.
+``shift_term(coef, e)`` is the same product over the shift axis
 alpha = 1..q-1, whose logs are the table's own ``_log[1:]``: no log gather,
 no zero mask.  Every scalar-coefficient monomial of a per-shift route is a
 ``shift_term``; ``vterm`` takes arrays of other elements.  Tests cross-check
@@ -26,18 +25,17 @@ the tables against the shift-xor product ``mul_raw``.
 For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
 closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
 
-Trace rows take a gather-free path.  Tr is GF(2)-linear, so for each c one
-mask ``dual(c)`` has Tr(c*y) = parity(dual(c) & y) for every y; ``dual`` is
-linear in c too, the XOR of the column masks dual(x^j) over the set bits j
-of c.  ``trace_row(terms)`` gives the bits Tr(sum of coef * x^e) for every
-x as the parity of XOR(dual(coef) & x^e): T ANDs and T-1 XORs over
-contiguous uint32 power arrays x^e, then one popcount.  Truth tables, the
-auxiliary curve's S7 sum and the one-curve point count are such rows.  Each
-power array is built the first time its exponent is used and stays cached on
-the context (4 MB per exponent at m = 20).  ``monomial_table`` and
-``trace_bits`` are its test oracle.  ``exp_trace``, the trace table of
-``Tr(g^n)`` for n in [0, 2(q-1)), is built on first use; ``vtrace_term`` and
-the genus-2 point counts gather from it.
+Tr is GF(2)-linear, and it is read by two rules.  ``trace_bits(vals)`` is
+Tr of every element of an array: the parity of popcount(v & trace_mask).
+``trace_row(terms)`` is Tr(sum of coef * x^e) for every x, with no gather:
+for each c one mask ``dual(c)`` has Tr(c*y) = parity(dual(c) & y) for every
+y, and ``dual`` is linear in c too, the XOR of the column masks dual(x^j)
+over the set bits j of c.  So the row is the parity of XOR(dual(coef) & x^e):
+T ANDs and T-1 XORs over contiguous uint32 power arrays x^e, then one
+popcount.  Truth tables, the auxiliary curve's S7 sum and the one-curve
+point count are such rows.  Each power array is built the first time its
+exponent is used and stays cached on the context (4 MB per exponent at
+m = 20).  ``trace_bits(monomial_table(...))`` is its test oracle.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -177,27 +175,22 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
-        # Tr is GF(2)-linear: precompute the mask with bit i = Tr(2^i), so that
-        # trace(x) = parity(popcount(x & mask)).
-        mask = 0
-        for i in range(m):
-            e = 1 << i
-            t = 0
-            for _ in range(m):
-                t ^= e
-                e = self.mul_raw(e, e)
-            if t not in (0, 1):
-                raise AssertionError(f"trace of basis element not in GF(2): {t:#x}")
-            mask |= t << i
-        self._trace_mask = mask
-        # bit i of dual(x^j) is Tr(x^(i+j)): the traces t[k] = Tr(x^k), k < 2m-1
+        # bit i of dual(x^j) is Tr(x^(i+j)): the traces t[k] = Tr(x^k), k < 2m-1,
+        # each the Frobenius sum x^k + x^2k + ... + x^(2^(m-1) k) by squarings
         t, p = [], 1
         for _ in range(2 * m - 1):
-            t.append((p & mask).bit_count() & 1)
+            tr, y = 0, p
+            for _ in range(m):
+                tr ^= y
+                y = self.mul_raw(y, y)
+            if tr not in (0, 1):
+                raise AssertionError(f"trace of x^{len(t)} not in GF(2): {tr:#x}")
+            t.append(tr)
             p <<= 1
             if p >> m:
                 p ^= modulus
         self._dual_cols = [sum(t[i + j] << i for i in range(m)) for j in range(m)]
+        self._trace_mask = self._dual_cols[0]  # dual(1): trace(x) = parity(x & mask)
         self._build_tables()
         self._powers: dict[int, np.ndarray] = {}  # e -> uint32 x^e for x in [0, q)
 
@@ -340,20 +333,9 @@ class FieldCtx:
             x ^= (x >> self.m) * self.modulus  # bit m is the only overflow
         return r
 
-    def _term_index(self, coef, x, e):
-        """(idx, zero): coef * x^e is ``_exp[idx]`` where ``zero`` is False,
-        idx = log(coef) + (e*log(x) mod (q-1)) < 2(q-1), and 0 where it is True.
-        ``e`` is an int or a (num, den) pair; 0^(num/den) follows num."""
-        n = self.q - 1
-        num, e = (e[0], self._frac_exponent(*e)) if isinstance(e, tuple) else (e, e % n)
-        x = np.asarray(x, dtype=np.int64)
-        zero = x == 0 if num else False  # x^0 = 1, also for x = 0
-        if num < 0 and np.count_nonzero(zero):
-            raise ZeroDivisionError("0 cannot be raised to a negative power")
-        coef = np.asarray(coef, dtype=np.int64)
-        if coef.ndim or coef == 0:
-            zero = zero | (coef == 0)
-        return self._log[x] * e % n + self._log[coef], zero
+    def _exponent(self, e) -> int:
+        """e mod (q-1) for an int e, num/den mod (q-1) for a (num, den) pair."""
+        return self._frac_exponent(*e) if isinstance(e, tuple) else e % (self.q - 1)
 
     def shift_term(self, coef: int, e) -> np.ndarray:
         """coef * alpha^e for every shift alpha = 1..q-1 (entry k is alpha = k + 1),
@@ -363,21 +345,29 @@ class FieldCtx:
         n = self.q - 1
         if not coef:
             return np.zeros(n, dtype=np.int64)
-        idx = self._log[1:] * (self._frac_exponent(*e) if isinstance(e, tuple) else e % n)
+        idx = self._log[1:] * self._exponent(e)
         idx %= n
         idx += self._log[coef]
         return self._exp[idx]
 
     def vterm(self, coef, x, e) -> np.ndarray:
-        """coef * x^e elementwise, one gather from the doubled antilog table."""
-        idx, zero = self._term_index(coef, x, e)
-        return np.where(zero, 0, self._exp[idx])
-
-    def vtrace_term(self, coef, x, e) -> np.ndarray:
-        """Tr(coef * x^e) elementwise as uint8, read from ``exp_trace`` at the
-        index of :meth:`vterm`."""
-        idx, zero = self._term_index(coef, x, e)
-        return np.where(zero, np.uint8(0), self.exp_trace[idx])
+        """coef * x^e elementwise for an array x, coef an int or an array of x's
+        shape and e an int or a (num, den) pair: one gather from the doubled
+        antilog table; x^0 = 1 also for x = 0, 0^(num/den) follows num."""
+        num = e[0] if isinstance(e, tuple) else e
+        x = np.asarray(x, dtype=np.int64)
+        if num < 0 and np.count_nonzero(x == 0):
+            raise ZeroDivisionError("0 cannot be raised to a negative power")
+        keep = x != 0 if num else True
+        coef = np.asarray(coef, dtype=np.int64)
+        if coef.ndim or coef == 0:
+            keep = keep & (coef != 0)
+        idx = self._log[x] * self._exponent(e)  # updated in place: two whole arrays at most
+        idx %= self.q - 1
+        idx += self._log[coef]
+        out = self._exp[idx]
+        out *= keep  # a multiply, not a masked store: no branch per element
+        return out
 
     def vlog(self, x) -> np.ndarray:
         """Discrete logs, in [0, q-1), of nonzero x to the table generator."""
@@ -405,7 +395,7 @@ class FieldCtx:
         if self.m % 2 == 0:
             raise ValueError("quartic solver requires odd m")
         c = np.asarray(c, dtype=np.int64)
-        has_root = self.vtrace(c) == 0
+        has_root = self.trace_bits(c) == 0
         v = np.zeros(c.shape, dtype=np.int64)
         for j, vj in enumerate(self._quartic_basis):
             v ^= ((c >> j) & 1) * vj
@@ -427,13 +417,6 @@ class FieldCtx:
         out = np.zeros(q, dtype=np.int64)
         out[1:] = self._exp[(int(self._log[coef]) + e * self._log[1:]) % (q - 1)]
         return out
-
-    @cached_property
-    def exp_trace(self) -> np.ndarray:
-        """Tr(g^n) as uint8 for n in [0, 2(q-1)): the traces of the doubled
-        antilog table, so an offset index below 2(q-1) needs no reduction."""
-        half = self.trace_bits(self._exp[:self.q - 1])
-        return _frozen(np.concatenate([half, half]))
 
     def dual(self, c: int) -> int:
         """The mask d with Tr(c*y) = parity(d & y) for every y; dual(1) is the
@@ -481,13 +464,7 @@ class FieldCtx:
         bits &= 1
         return bits
 
-    def vtrace(self, vals) -> np.ndarray:
-        """Vector trace: parity of popcount(v & trace_mask), as int64 0/1."""
-        t = np.asarray(vals, dtype=np.int64) & self._trace_mask
-        for k in (16, 8, 4, 2, 1):
-            t ^= t >> k
-        return t & 1
-
-    def trace_bits(self, vals: np.ndarray) -> np.ndarray:
-        """:meth:`vtrace` as uint8, the truth-table dtype."""
-        return self.vtrace(vals).astype(np.uint8)
+    def trace_bits(self, vals) -> np.ndarray:
+        """Tr of every element of ``vals`` as uint8 0/1, the truth-table dtype:
+        the parity of popcount(v & trace_mask)."""
+        return np.bitwise_count(np.asarray(vals, dtype=np.int64) & self._trace_mask) & 1

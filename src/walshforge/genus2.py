@@ -23,7 +23,7 @@ step; Q is evaluated on the kernel rows alone.  Like ``e_poly`` it refuses
 a = 0.
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
-m-sequence read from the cached trace table, so a curve's row of traces is
+m-sequence Tr(g^n), built once per call, so a curve's row of traces is
 an XOR of three packed word slices, counted by popcount.  It never calls
 the radical classifier.
 """
@@ -146,9 +146,9 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     it is set and the slot is filled; the reduced row then fills the slot of
     its leading bit.  Rows whose E half clears (they go to the scratch slot
     m) are a basis of W, and w counts them per curve.  Q is linear on W, so
-    it vanishes on W iff it vanishes on that basis; Q(v) = Tr(a v^5) +
-    Tr(b v^3) + Tr(c v), as Tr(c^2 v^2) = Tr(c v), is evaluated on the
-    kernel rows alone.
+    it vanishes on W iff it vanishes on that basis; Q(v) = Tr(a v^5 +
+    b v^3 + c v), as Tr(c^2 v^2) = Tr(c v), is evaluated on the kernel rows
+    alone, one trace of the sum of the three products.
     """
     if np.count_nonzero(a == 0):
         raise ValueError("degenerate curve: coefficient a of x^5 must be nonzero")
@@ -181,8 +181,8 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
             slots[lead[row >> m], cols] = row
         j, k = np.nonzero(rows < ctx.q)  # the kernel rows, and their curves
         v = rows[j, k]
-        qv = (ctx.vtrace_term(ak[k], v, 5) ^ ctx.vtrace_term(bk[k], v, 3)
-              ^ ctx.vtrace_term(ck[k], v, 1))
+        qv = ctx.trace_bits(ctx.vterm(ak[k], v, 5) ^ ctx.vterm(bk[k], v, 3)
+                            ^ ctx.vterm(ck[k], v, 1))
         w[sl] = np.bincount(k, minlength=len(ak))
         vanishes[sl] = np.bincount(k[qv == 1], minlength=len(ak)) == 0
     if np.count_nonzero((w[vanishes] + m) % 2):
@@ -200,8 +200,8 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     Write x = g^i (i < q - 1) for the table generator g.  With l = log(coef)
     and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
     u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
-    e*shift = l - r (mod q - 1).  Each u is gathered from the context's
-    cached trace table ``exp_trace`` of Tr(g^n), and its 64 windows starting
+    e*shift = l - r (mod q - 1).  Each u is gathered from the sequence
+    Tr(g^n), n < q - 1, built once per call, and its 64 windows starting
     at bits 0 .. 63 are packed at once, so the row of a term over all x != 0
     is one word slice, and a curve's row is the XOR of three slices.  The
     rows are gathered for blocks of curves of at most ``BATCH`` words and
@@ -214,13 +214,14 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     i = np.arange(64 * (width + 1), dtype=np.int64)
     seqs = [np.zeros(len(i), dtype=np.uint8)]  # sequence 0: the row of a zero coefficient
     starts = []  # first word of each curve's a, b and c row in the flat tables
+    tr = ctx.trace_bits(ctx.vexp(np.arange(n)))  # Tr(g^n)
     for coef, e in ((a, 5), (b, 3), (c, 1)):
         k = math.gcd(e, n)
         logs = ctx.vlog(np.where(coef == 0, 1, coef))
         shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
         seq = np.where(coef == 0, 0, len(seqs) + logs % k)
         starts.append((seq * 64 + shift % 64) * width + shift // 64)
-        seqs += [ctx.exp_trace[(r + e * i) % n] for r in range(k)]
+        seqs += [tr[(r + e * i) % n] for r in range(k)]
     # word j of offset table o holds bits 64*j + o .. 64*j + o + 63 of its sequence
     tables = pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
     # slices[s] is the n_words-word slice starting at word s of the flat tables

@@ -56,12 +56,13 @@ def corpus_tables():
         t0 = time.monotonic()
         entries = []
         for g in mixed_corpus(ctx.q, CORPUS_COUNT, (0, 1, 2, 3), CORPUS_SEED):
-            spec = fwht(truth_table(ctx, g))
+            bits = truth_table(ctx, g)
+            spec = fwht(bits)
             entries.append({
                 "g": g,
                 "linf": linf(spec),
                 "sigma_spec": l4_fourth(spec),
-                "table": x_alpha_all(ctx, g),
+                "table": x_alpha_all(ctx, bits),
             })
         out[m] = {"ctx": ctx, "entries": entries,
                   "elapsed": time.monotonic() - t0}
@@ -172,9 +173,10 @@ def test_06b_lower_bound_refined_m15(verdict):
     t0 = time.monotonic()
     ctx = FieldCtx(15)
     g = TracePoly(a7=1)
-    spec = fwht(truth_table(ctx, g))
+    bits = truth_table(ctx, g)
+    spec = fwht(bits)
     lv = linf(spec)
-    table = x_alpha_all(ctx, g)
+    table = x_alpha_all(ctx, bits)
     identity_ok = sigma_autocorr(table) == l4_fourth(spec)
     mismatches = sum(1 for alpha in range(1, ctx.q)
                      if classify_alpha(ctx, g, alpha).predicted != int(table[alpha]))

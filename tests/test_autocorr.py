@@ -32,7 +32,7 @@ def test_matches_scalar_definition(ctx7):
 
 
 def test_histogram_m5(ctx5):
-    table = x_alpha_all(ctx5, TracePoly(a7=1))
+    table = x_alpha_all(ctx5, truth_table(ctx5, TracePoly(a7=1)))
     assert table.dtype == np.int64
     values = set(int(v) for v in table[1:])
     assert values <= {0, 64, 256}  # {0, 2q, 8q}
@@ -43,14 +43,15 @@ def test_histogram_m5(ctx5):
 def test_sigma_matches_l4(ctx7):
     for a7 in (1, 7, 90):
         g = TracePoly(a7=a7, b=(2,))
-        table = x_alpha_all(ctx7, g)
-        spec = fwht(truth_table(ctx7, g))
+        bits = truth_table(ctx7, g)
+        table = x_alpha_all(ctx7, bits)
+        spec = fwht(bits)
         assert sigma_autocorr(table) == l4_fourth(spec)
 
 
 def test_decomposition_identity(ctx7):
     g = TracePoly(a7=5)
-    table = x_alpha_all(ctx7, g)
+    table = x_alpha_all(ctx7, truth_table(ctx7, g))
     d = sigma_decomposition(table)
     q = ctx7.q
     hist = Counter(table[1:].tolist())
@@ -60,7 +61,7 @@ def test_decomposition_identity(ctx7):
 
 
 def test_decomposition_rejects_off_lattice_values(ctx5):
-    table = x_alpha_all(ctx5, TracePoly(a7=1))
+    table = x_alpha_all(ctx5, truth_table(ctx5, TracePoly(a7=1)))
     table[3] = 5  # corrupt two entries: the first one is named
     table[9] = 7
     with pytest.raises(ValueError, match="X_alpha=5 at alpha=0x3 "):
@@ -72,3 +73,13 @@ def test_from_bits_agrees(ctx5):
     bits = truth_table(ctx5, g)
     for alpha in range(1, 32):
         assert x_alpha_from_bits(bits, alpha) == x_alpha_scalar(ctx5, g, alpha)
+
+
+def test_routes_only_read_the_shared_truth_table(ctx7):
+    # the CLI hands one truth table to fwht and x_alpha_all: neither may write it
+    bits = truth_table(ctx7, TracePoly(a7=3, b=(0, 6)))
+    shared = bits.copy()
+    shared.setflags(write=False)
+    assert fwht(shared).tolist() == fwht(bits).tolist()
+    assert x_alpha_all(ctx7, shared).tolist() == x_alpha_all(ctx7, bits).tolist()
+    assert shared.tolist() == bits.tolist()

@@ -83,9 +83,12 @@ def test_vector_helpers_match_scalar(m):
             ctx.mul(int(b), ctx.frac_pow(int(a), num, den)) for a, b in zip(x, y)]
     for coef, xs, n in ((y, x, 5), (y, x, (1, 2)), (3, x, 0), (0, x, 3),
                         (y[:len(nz)], nz, -7)):
-        t = ctx.vtrace_term(coef, xs, n)
+        # Tr of the products against the scalar trace of the scalar products
+        num, den = n if isinstance(n, tuple) else (n, 1)
+        t = ctx.trace_bits(ctx.vterm(coef, xs, n))
         assert t.dtype == np.uint8
-        assert t.tolist() == ctx.vtrace(ctx.vterm(coef, xs, n)).tolist()
+        assert t.tolist() == [ctx.trace(ctx.mul(int(c), ctx.frac_pow(int(a), num, den)))
+                              for c, a in zip(np.broadcast_to(coef, xs.shape), xs)]
     if m == 3:
         # 7/4 = 0 (mod q - 1 = 7), so x^(7/4) = 1 for x != 0, yet 0^(7/4) = 0
         assert ctx.vterm(1, [0, 1, 5], (7, 4)).tolist() == [0, 1, 1]
@@ -93,7 +96,8 @@ def test_vector_helpers_match_scalar(m):
         assert ctx.vterm(1, [0, 5], 0).tolist() == [1, 1]
         # a list coef with a zero in it, like an array one
         assert ctx.vterm([0, 3, 0], [5, 5, 0], 2).tolist() == [0, ctx.mul(3, ctx.pow(5, 2)), 0]
-        assert ctx.vtrace_term([0, 3], [5, 5], 2).tolist() == [0, ctx.trace(ctx.mul(3, ctx.pow(5, 2)))]
+        assert ctx.trace_bits(ctx.vterm([0, 3], [5, 5], 2)).tolist() == [
+            0, ctx.trace(ctx.mul(3, ctx.pow(5, 2)))]
     if m % 2:
         assert ctx.vterm(1, x, (1, 3)).tolist() == [ctx.kth_root(int(a), 3) for a in x]
     else:
@@ -268,11 +272,12 @@ def test_count_blocks_split_the_x_range(monkeypatch):
     g = TracePoly(5, (3, 0, 9))
     a, b, c, d = reduce_difference_all(ctx, g)
     full, curves = count_points_all(ctx, a, b, c, d), classify_curves(ctx, a, b, c)
-    table = x_alpha_all(ctx, g)
+    bits = truth_table(ctx, g)
+    table = x_alpha_all(ctx, bits)
     monkeypatch.setattr(field, "BATCH", 50)
     monkeypatch.setattr(genus2, "BATCH", 50)
     monkeypatch.setattr(autocorr, "BATCH", 50)
-    assert x_alpha_all(ctx, g).tolist() == table.tolist()
+    assert x_alpha_all(ctx, bits).tolist() == table.tolist()
     assert count_points_all(ctx, a, b, c, d).tolist() == full.tolist()
     blocked = classify_curves(ctx, a, b, c)
     assert blocked.w.tolist() == curves.w.tolist()
@@ -346,9 +351,10 @@ def test_batch_temporaries_stay_small():
 def test_x_alpha_temporaries_stay_small():
     # one (q, q) gather at m = 13 would be 64 MB even as uint8
     ctx = FieldCtx(13)
+    bits = truth_table(ctx, TracePoly(0x155, (3, 0, 9)))
     tracemalloc.start()
     try:
-        x_alpha_all(ctx, TracePoly(0x155, (3, 0, 9)))
+        x_alpha_all(ctx, bits)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,6 +379,34 @@ def test_c_spelling_disagreement_is_caught(monkeypatch):
         reduce_difference_all(ctx, TracePoly(3, (0, 6)))
 
 
+# -- equivalence relabellings -----------------------------------------------------
+
+@pytest.mark.parametrize("m", [7, 9, 11])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_routes_relabel_under_scaling_and_frobenius(m, data):
+    # G_t(x) = G(t x) has coefficients (a7 t^7, b_i t^(2^i+1)), so its truth
+    # table reads G's at t*x, and its X_alpha and predicted X_alpha read G's at
+    # t*alpha.  Squaring every coefficient gives G' with G'(x^2) = G(x)^2, so
+    # G' reads G's at x -> x^2 and alpha -> alpha^2.
+    ctx = CTX[m]
+    g = data.draw(tracepolys(m))
+    t = data.draw(st.integers(2, ctx.q - 1))
+    x = np.arange(ctx.q, dtype=np.int64)
+
+    def arrays(h):
+        bits = truth_table(ctx, h)
+        return bits, x_alpha_all(ctx, bits), np.concatenate([[0], classify_all(ctx, h).predicted])
+
+    scaled = TracePoly(ctx.mul(g.a7, ctx.pow(t, 7)),
+                       tuple(ctx.mul(bi, ctx.pow(t, (1 << i) + 1)) for i, bi in enumerate(g.b)))
+    squared = TracePoly(ctx.mul(g.a7, g.a7), tuple(ctx.mul(bi, bi) for bi in g.b))
+    tx, x2 = ctx.vterm(t, x, 1), ctx.vterm(1, x, 2)
+    for base, at_t, at_sq in zip(arrays(g), arrays(scaled), arrays(squared)):
+        assert at_t.tolist() == base[tx].tolist()
+        assert at_sq[x2].tolist() == base.tolist()
+
+
 # -- packed popcount kernels -----------------------------------------------------
 
 # Each field the packed passes branch on: q < 64 fills one partial word
@@ -393,7 +427,7 @@ def test_packed_x_alpha_matches_scalar_on_every_alpha(m, data):
     ctx = CTX[m]
     g = data.draw(tracepolys(m))
     bits = truth_table(ctx, g)
-    table = x_alpha_all(ctx, g)
+    table = x_alpha_all(ctx, bits)
     assert table[0] == 0
     assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
 
@@ -407,7 +441,7 @@ def test_x_alpha_blocks_of_whole_rows_match_scalar(monkeypatch, batch):
     g = TracePoly(0x155, (3, 0, 9))
     bits = truth_table(ctx, g)
     monkeypatch.setattr(autocorr, "BATCH", batch)
-    table = x_alpha_all(ctx, g)
+    table = x_alpha_all(ctx, bits)
     assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
 
 
@@ -424,7 +458,7 @@ ALPHAS_13 = np.concatenate([np.arange(1, 64)] + [
 def test_packed_x_alpha_matches_scalar_on_every_top_bit_block(g):
     ctx = CTX_13
     bits = truth_table(ctx, g)
-    table = x_alpha_all(ctx, g)
+    table = x_alpha_all(ctx, bits)
     assert {int(a // 64).bit_length() - 1 for a in ALPHAS_13 if a >= 64} == set(range(7))
     assert [int(table[a]) for a in ALPHAS_13] == [x_alpha_from_bits(bits, int(a))
                                                     for a in ALPHAS_13]

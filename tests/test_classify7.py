@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshforge.autocorr import sigma_decomposition, x_alpha_all
-from walshforge.boolfn import TracePoly
+from walshforge.boolfn import TracePoly, truth_table
 from walshforge.classify7 import (check_linf_lower, check_linf_upper, check_sigma_bound,
                                   classify_all, classify_alpha, count_n0_n, eta_of_alpha,
                                   pair_zero_count)
@@ -31,7 +31,7 @@ def test_eta_always_has_trace_one(m):
 def test_predictor_matches_brute_force_exhaustive(m, a7, bs):
     ctx = FieldCtx(m)
     g = TracePoly(a7=a7, b=bs)
-    table = x_alpha_all(ctx, g)
+    table = x_alpha_all(ctx, truth_table(ctx, g))
     for alpha in range(1, ctx.q):
         assert classify_alpha(ctx, g, alpha).predicted == int(table[alpha])
 
@@ -90,13 +90,12 @@ def test_count_n0_n_matches_decomposition(ctx7):
     for a7, bs in ((1, ()), (11, (4, 2)), (100, (0, 0, 7))):
         g = TracePoly(a7=a7, b=bs)
         counted = count_n0_n(ctx7, g, classify_all(ctx7, g))
-        measured = sigma_decomposition(x_alpha_all(ctx7, g))
+        measured = sigma_decomposition(x_alpha_all(ctx7, truth_table(ctx7, g)))
         assert (counted["N0"], counted["N"], counted["Z"]) == (
             measured["N0"], measured["N"], measured["Z"])
 
 
 def test_sigma_bound_checker_passes_true_values(ctx9):
-    from walshforge.boolfn import truth_table
     from walshforge.spectrum import fwht, l4_fourth
     g = TracePoly(a7=2, b=(1, 1, 3))
     chk = check_sigma_bound(ctx9, g, l4_fourth(fwht(truth_table(ctx9, g))))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import walshforge.autocorr as autocorr
 import walshforge.cli as cli
 from walshforge.classify7 import classify_all
 from walshforge.cli import SLOW_M, main
@@ -116,6 +117,24 @@ def test_verify_mismatch_without_genus2_has_no_curve(capsys):
                          "predictor", "--selftest-negative")
     rec = doc["summary"]["mismatches"][0]
     assert code == 1 and "eta" in rec and "curve" not in rec and "w" not in rec
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (("verify", "--m", "5", "--count", "2"), 2),
+    (("analyze", "--m", "7", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x3"}'), 1),
+    (("analyze", "--m", "7", "--checks", "predictor,auxcurve", "--g", '{"a7":"0x3"}'), 0),
+])
+def test_one_truth_table_per_function(capsys, monkeypatch, argv, builds):
+    # the spectral and table routes share one truth table, and a command that
+    # runs neither builds none
+    calls = []
+    for mod in (cli, autocorr):
+        if hasattr(mod, "truth_table"):
+            real = mod.truth_table
+            monkeypatch.setattr(mod, "truth_table",
+                                lambda ctx, g, real=real: calls.append(g) or real(ctx, g))
+    code, _ = run_json(capsys, *argv)
+    assert code == 0 and len(calls) == builds
 
 
 # -- negative controls: one corrupted alpha per route must fail a named check ----

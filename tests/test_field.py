@@ -166,11 +166,25 @@ def test_monomial_table_matches_scalar(ctx5):
         assert int(tab[x]) == ctx5.mul(7, ctx5.pow(x, 3))
 
 
-def test_trace_bits_matches_scalar(ctx7):
-    vals = np.arange(128, dtype=np.int64)
-    bits = ctx7.trace_bits(vals)
-    for x in range(128):
-        assert int(bits[x]) == ctx7.trace(x)
+def test_trace_bits_matches_scalar():
+    # every element through m = 12; at m = 17 and 20, 0, 1, q-1 and random
+    # samples, the first of them also against the sum of their conjugates
+    for m in [*range(2, 13), 17, 20]:
+        ctx = FieldCtx(m)
+        if m <= 12:
+            vals = np.arange(ctx.q, dtype=np.int64)
+        else:
+            rng = np.random.default_rng(m)
+            vals = np.concatenate([[0, 1, ctx.q - 1], rng.integers(0, ctx.q, 200)])
+            for v in vals[:20].tolist():
+                acc, conj = 0, v
+                for _ in range(m):
+                    acc ^= conj
+                    conj = brute_mul(conj, conj, ctx.modulus, m)
+                assert acc == ctx.trace(v)
+        bits = ctx.trace_bits(vals)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [ctx.trace(v) for v in vals.tolist()], m
 
 
 @cache
@@ -242,6 +256,6 @@ def test_even_degree_fields_supported():
 def test_tables_are_read_only():
     # the CLI shares one context between commands: no caller may write into it
     ctx = FieldCtx(5)
-    for table in (ctx._exp, ctx._log, ctx.exp_trace, ctx._power(3)):
+    for table in (ctx._exp, ctx._log, ctx._power(3)):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
