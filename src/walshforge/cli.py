@@ -6,6 +6,8 @@ Subcommands:
     verify   full per-shift predictor-vs-measured agreement (+ aux curve)
     curve    radical/point-count classification of one quintic curve
 
+Each command writes one JSON report, to stdout or to the ``--out`` file, in
+which case stdout gets a one-line verdict with the report's hash.
 Exit codes: 0 all hard checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Reports carry a determinism hash over everything except
 the metadata block, so two runs with the same config and seed hash identically.
@@ -17,8 +19,6 @@ so a field's tables are built once per process.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -295,8 +295,6 @@ def cmd_scan(args) -> Report:
     corpus = _corpus(args, ctx)
     rows = []
     checks: list[Check] = []
-    min_linf = ctx.q + 1
-    max_linf = min_nl = -1
     for i, g in enumerate(corpus):
         row, spectral = _spectrum_section(ctx, g, fwht(truth_table(ctx, g)), bounds=False)
         lv, nl, s4 = row["linf"], row["nl"], row["sigma4_spectrum"]
@@ -304,8 +302,8 @@ def cmd_scan(args) -> Report:
         # a scan reports only the checks that fail
         checks += _tagged([c for c in spectral + _bound_checks(ctx, g, lv, s4)
                            if not c.passed], i)
-        min_linf, max_linf = min(min_linf, lv), max(max_linf, lv)
-        min_nl = nl if min_nl < 0 else min(min_nl, nl)
+    min_linf = min(r["linf"] for r in rows)
+    max_linf = max(r["linf"] for r in rows)
     checks.append(compare("aggregate_linf_upper", max_linf ** 2, "<=", 36 * ctx.q))
     checks.append(compare("aggregate_linf_lower", min_linf ** 2, ">=", 2 * ctx.q,
                           hard=ctx.m % 2 == 1 and ctx.m <= 11 + 2 * args.s))
@@ -313,7 +311,7 @@ def cmd_scan(args) -> Report:
               "corpus": {"seed": args.seed, "count": args.count, "s": args.s}}
     return Report(schema=SCHEMA, config=config, checks=checks,
                   summary={"rows": rows, "min_linf": min_linf, "max_linf": max_linf,
-                           "min_nl": min_nl})
+                           "min_nl": min(r["nl"] for r in rows)})
 
 
 def cmd_verify(args) -> Report:
@@ -408,17 +406,10 @@ def _emit(report: Report, args, elapsed_ms: float) -> None:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "elapsed_ms": round(elapsed_ms, 3),
-        "threads": getattr(args, "threads", 1),
+        "threads": args.threads,
     }
-    if args.format == "json":
-        text = json.dumps(report.as_dict(), indent=2)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["name", "lhs", "rhs", "relation", "pass", "hard", "note"])
-        for c in report.checks:
-            w.writerow([c.name, c.lhs, c.rhs, c.relation, c.passed, c.hard, c.note])
-        text = buf.getvalue()
+    doc = report.as_dict()
+    text = json.dumps(doc, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -427,7 +418,7 @@ def _emit(report: Report, args, elapsed_ms: float) -> None:
             raise UsageError(f"cannot write {args.out!r}: {exc.strerror}") from exc
         verdict = "PASS" if report.hard_pass() else "FAIL"
         print(f"{report.config['cmd']}: {verdict} "
-              f"(checks={len(report.checks)}, hash={report.determinism_hash()})")
+              f"(checks={len(report.checks)}, hash={doc['determinism_hash']})")
     else:
         print(text)
 
@@ -436,7 +427,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True, help="extension degree of the field")
     p.add_argument("--modulus", help="irreducible modulus as hex bitmask, e.g. 0x25")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and echoed in the report's meta; has no effect")
     p.add_argument("--slow", action="store_true",
@@ -444,13 +434,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_g(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", "--G", dest="g", help="G as JSON (inline or file path)")
+    p.add_argument("--g", help="G as JSON (inline or file path)")
 
 
 def _add_corpus(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=lambda v: int(v, 0), default=0,
                    help="corpus seed, an integer in [0, 2^64)")
-    p.add_argument("--count", "--trials", dest="count", type=int, default=1,
+    p.add_argument("--count", type=int, default=1,
                    help="number of sampled G")
     p.add_argument("--s", type=int, default=0,
                    help="largest quadratic-part index for sampled G")
@@ -497,8 +487,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if not hasattr(args, "checks"):
-        args.checks = None
     start = time.monotonic()
     try:
         report = args.func(args)

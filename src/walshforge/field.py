@@ -410,13 +410,7 @@ class FieldCtx:
         :meth:`trace_row`, reached only from tests and perfbench's tracer."""
         if e < 1:
             raise ValueError("monomial exponent must be >= 1")
-        q = self.q
-        if coef == 0:
-            return np.zeros(q, dtype=np.int64)
-        # one gather: log(coef * x^e) = log(coef) + e*log(x)
-        out = np.zeros(q, dtype=np.int64)
-        out[1:] = self._exp[(int(self._log[coef]) + e * self._log[1:]) % (q - 1)]
-        return out
+        return self.vterm(coef, np.arange(self.q), e)
 
     def dual(self, c: int) -> int:
         """The mask d with Tr(c*y) = parity(d & y) for every y; dual(1) is the

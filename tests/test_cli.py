@@ -549,12 +549,12 @@ COUNT_ARG = st.integers(-1, 2).map(str) | st.sampled_from(["0x2", "zz", ""])
 CHECKS_ARG = st.lists(st.sampled_from([*cli.ALL_CHECKS, "spectru", "", " "]),
                       max_size=4).map(",".join)
 OPTIONS = st.fixed_dictionaries({}, optional={
-    "--modulus": MODULUS, "--format": st.sampled_from(["json", "csv", "xml"]),
-    "--seed": SEED_ARG, "--count": COUNT_ARG, "--s": INT_ARG, "--checks": CHECKS_ARG})
-ACCEPTS = {"analyze": {"--modulus", "--format", "--checks"},
-           "scan": {"--modulus", "--format", "--seed", "--count", "--s"},
-           "verify": {"--modulus", "--format", "--seed", "--count", "--s", "--checks"},
-           "curve": {"--modulus", "--format"}}
+    "--modulus": MODULUS, "--seed": SEED_ARG, "--count": COUNT_ARG, "--s": INT_ARG,
+    "--checks": CHECKS_ARG})
+ACCEPTS = {"analyze": {"--modulus", "--checks"},
+           "scan": {"--modulus", "--seed", "--count", "--s"},
+           "verify": {"--modulus", "--seed", "--count", "--s", "--checks"},
+           "curve": {"--modulus"}}
 
 
 @settings(max_examples=100, deadline=2000)
@@ -606,12 +606,17 @@ def test_slow_gate(capsys):
     assert code == 0
 
 
-def test_csv_format(capsys):
-    code, out, err = run(capsys, "analyze", "--m", "5", "--g", '{"a7":"0x1"}',
-                         "--format", "csv")
-    assert code == 0
-    header = out.splitlines()[0]
-    assert header == "name,lhs,rhs,relation,pass,hard,note"
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--m", "5", "--format", "json"] for cmd in ("analyze", "scan", "verify", "curve")),
+    ["analyze", "--m", "5", "--G", '{"a7":"0x1"}'],
+    ["scan", "--m", "5", "--trials", "2"]])
+def test_removed_spellings_exit_2(capsys, argv):
+    # JSON is the one report format, and each option has one spelling
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):
@@ -622,6 +627,7 @@ def test_out_file(tmp_path, capsys):
     assert "PASS" in out and "hash=" in out
     doc = json.loads(target.read_text())
     assert doc["schema"] == "walsh-forge/1"
+    assert out.split("hash=")[1].rstrip().rstrip(")") == doc["determinism_hash"]
 
 
 def test_custom_modulus(capsys):

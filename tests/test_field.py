@@ -160,10 +160,16 @@ def test_frac_pow(ctx9):
         assert ctx9.pow(y, 4) == ctx9.pow(x, 3)
 
 
-def test_monomial_table_matches_scalar(ctx5):
-    tab = ctx5.monomial_table(7, 3)
-    for x in range(32):
-        assert int(tab[x]) == ctx5.mul(7, ctx5.pow(x, 3))
+def test_monomial_table_matches_scalar():
+    # every coef and every x; e = q - 1 at m = 2 (e = 3) and m = 3 (e = 7) gives
+    # x^e = 1 for every x but 0
+    for m in range(2, 9):
+        ctx = FieldCtx(m)
+        for e in (1, 3, 5, 7):
+            pw = [ctx.pow(x, e) for x in range(ctx.q)]
+            for coef in range(ctx.q):
+                tab = ctx.monomial_table(coef, e)
+                assert tab.tolist() == [ctx.mul(coef, p) for p in pw], (m, e, coef)
 
 
 def test_trace_bits_matches_scalar():
