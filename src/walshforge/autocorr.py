@@ -51,18 +51,29 @@ def x_alpha_all(ctx: FieldCtx, bits: np.ndarray) -> np.ndarray:
         perm[s:2 * s] = ((perm[:s] & mask) << s) | ((perm[:s] >> s) & mask)
     # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for
     # alpha = 64*hi + lo; for hi in [h, 2h) only the words j with j & h = 0
-    # are counted, and the count doubled
+    # are counted, and the count doubled at the end
     mism = np.empty((n_words, lanes), dtype=np.int64)
     mism[0] = popcount(words ^ perm)
+    # one set of block buffers for every h: the perm rows tiled over a block's
+    # hi rows, their XOR with the moved words and its bit counts
+    half = (n_words + 1) // 2  # the words j with j & h = 0, for every h
+    block = min(half, max(1, BATCH // (lanes * half)))  # hi rows per block; h <= half
+    tile_buf, diff_buf = np.empty((2, lanes * block * half), dtype=np.uint64)
+    count_buf = np.empty(lanes * block * half, dtype=np.uint8)
     w = np.arange(n_words)
     for h in (1 << t for t in range(n_words.bit_length() - 1)):
-        j = w.reshape(-1, 2, h)[:, 0]
-        perm_j = perm.reshape(lanes, -1, 2, h)[:, :, 0]
-        step = max(1, BATCH // perm_j.size)  # hi rows per block
-        for hi in range(h, 2 * h, step):
-            moved = words[np.arange(hi, min(hi + step, 2 * h))[:, None, None] ^ j]
-            diff = moved[:, None] ^ perm_j  # (hi, lo, *j.shape)
-            mism[hi:hi + len(moved)] = 2 * popcount(diff.reshape(len(moved), lanes, -1))
+        j = w.reshape(-1, 2, h)[:, 0].ravel()
+        rows = min(h, block)
+        tile = tile_buf[:lanes * rows * half].reshape(lanes, rows, half)
+        tile[...] = perm[:, None, j]
+        for hi in range(h, 2 * h, rows):
+            r = min(rows, 2 * h - hi)  # the last block may be partial
+            n, shape = lanes * r * half, (lanes, r, half)
+            moved = words[np.arange(hi, hi + r)[:, None] ^ j]  # broadcast over the lanes
+            diff = np.bitwise_xor(tile[:, :r], moved, out=diff_buf[:n].reshape(shape))
+            counts = np.bitwise_count(diff, out=count_buf[:n].reshape(shape))
+            mism[hi:hi + r] = counts.sum(axis=-1, dtype=np.uint32).T
+    mism[1:] *= 2
     signed = q - 2 * mism.ravel()
     signed[0] = 0
     return signed * signed

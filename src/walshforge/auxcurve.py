@@ -84,7 +84,7 @@ def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints, eta: np.ndarray
     x, v = pts.points.T
     eta = np.repeat(eta[ctx.vterm(1, x[::2], -3) - 1], 2)  # alpha = x^(-3)
     t1 = ctx.trace_bits(ctx.vterm(eta, v, 3))
-    t2 = ctx.trace_bits(ctx.vterm(eta, ctx.vterm(1, v, 2) ^ v, 1))
+    t2 = ctx.trace_bits(ctx.vterm(eta, ctx.vsquare(v) ^ v, 1))
     n1, n2 = int(np.count_nonzero(t1)), int(np.count_nonzero(t2))
     n3 = int(np.count_nonzero(t1 == t2))
     both = pair_zero_count(n1, n2, n3, len(pts.points))

@@ -11,6 +11,7 @@ it for every alpha at once, as arrays.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,6 +29,9 @@ class TracePoly:
     def __post_init__(self):
         if self.a7 == 0:
             raise ValueError("a7 must be nonzero")
+        if isinstance(self.b, (Mapping, str, bytes)):  # would be read as its keys or characters
+            raise ValueError(f"b must be a sequence of coefficients b_0, b_1, ..., "
+                             f"not a {type(self.b).__name__}")
         object.__setattr__(self, "b", tuple(self.b))
         if self.a7 < 0 or any(bi < 0 for bi in self.b):
             raise ValueError("coefficients must be field elements (nonnegative bitmasks)")

@@ -139,7 +139,7 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
     ell = ctx.shift_term(ctx.kth_root(inv_a7, 3), (-7, 3))
     v, split = ctx.vsolve_quartic(ell)  # split: Tr(ell) = 0
     t1 = ctx.trace_bits(ctx.vterm(eta, v, 3))
-    t2 = ctx.trace_bits(ctx.vterm(eta, ctx.vterm(1, v, 2) ^ v, 1))
+    t2 = ctx.trace_bits(ctx.vterm(eta, ctx.vsquare(v) ^ v, 1))
     predicted = np.where(split, np.where((t1 == 1) & (t2 == 1), 8 * q, 0), 2 * q)
     return ShiftArrays(predicted=predicted, lambda_zero=lambda_zero, ell=ell, eta=eta,
                        v=np.where(split, v, -1))

@@ -6,8 +6,9 @@ Subcommands:
     verify   full per-shift predictor-vs-measured agreement (+ aux curve)
     curve    radical/point-count classification of one quintic curve
 
-Each command writes one JSON report, to stdout or to the ``--out`` file, in
-which case stdout gets a one-line verdict with the report's hash.
+Each command writes one JSON report as one line, to stdout or to the ``--out``
+file, in which case stdout gets a one-line verdict with the report's hash;
+``python -m json.tool`` indents it for reading.
 Exit codes: 0 all hard checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Reports carry a determinism hash over everything except
 the metadata block, so two runs with the same config and seed hash identically.
@@ -409,7 +410,7 @@ def _emit(report: Report, args, elapsed_ms: float) -> None:
         "threads": args.threads,
     }
     doc = report.as_dict()
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)  # one line, from json's C encoder; an indent needs its Python one
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,8 +12,8 @@ tables, and a command at another field replaces it.
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
-helpers (``shift_term``, ``vterm``, ``vlog``, ``vexp``, ``vsolve_quartic``,
-``monomial_table``), which act elementwise on int64 arrays of elements.
+helpers (``shift_term``, ``vterm``, ``vlog``, ``vexp``, ``monomial_table``),
+which act elementwise on int64 arrays of elements.
 ``vterm(coef, x, e)`` is one gather from the doubled antilog table at
 log(coef) + (e*log(x) mod (q-1)), e an int or a (num, den) fraction.
 ``shift_term(coef, e)`` is the same product over the shift axis
@@ -22,8 +22,14 @@ no zero mask.  Every scalar-coefficient monomial of a per-shift route is a
 ``shift_term``; ``vterm`` takes arrays of other elements.  Tests cross-check
 the tables against the shift-xor product ``mul_raw``.
 
-For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
-closed form: v = sum of c^(4^i) over odd i in [1, m-2], GF(2)-linear in c.
+A map that is GF(2)-linear in c is read from two tables built once per
+context from its m basis images: map(c) = lo[c & (2^k - 1)] ^ hi[c >> k],
+k = ceil(m/2), at most 2 x 1024 int64 entries at m = 20.  ``vsquare`` is
+x -> x^2 read this way.  For odd m, ``vsolve_quartic`` finds the trace-0
+root of v^4 + v = c in closed form, v = sum of c^(4^i) over odd i in
+[1, m-2], from the tables of that map, and checks each root with v^4 read
+from the separate tables of x -> x^4.  The reads go in ``BATCH`` blocks, so
+no whole-field index array is made and none is cached.
 
 Tr is GF(2)-linear, and it is read by two rules.  ``trace_bits(vals)`` is
 Tr of every element of an array: the parity of popcount(v & trace_mask).
@@ -381,28 +387,80 @@ class FieldCtx:
         so a sum of two :meth:`vlog` values needs no reduction."""
         return self._exp[n]
 
+    # -- GF(2)-linear maps by two table reads -----------------------------------
+
+    def _linear_tables(self, images) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) tables of the GF(2)-linear map that sends x^j to
+        images[j]: map(c) = lo[c & (2^k - 1)] ^ hi[c >> k], k = ceil(m/2), so
+        at most 2 x 1024 entries at m = 20."""
+        tables = []
+        for part in np.split(np.asarray(images, dtype=np.int64), [(self.m + 1) // 2]):
+            t = np.zeros(1, dtype=np.int64)
+            for image in part:  # t[i] is the XOR of the images of the set bits of i
+                t = np.concatenate([t, t ^ image])
+            tables.append(_frozen(t))
+        return tables[0], tables[1]
+
+    def _linear(self, tables, x) -> np.ndarray:
+        """The linear map of ``tables`` at every element of x, two table reads
+        each; an array of more than ``BATCH`` elements is read in blocks, so no
+        whole-array index temporary adds to peak memory."""
+        x = np.asarray(x, dtype=np.int64)
+        if x.size > BATCH:
+            out = np.empty(x.shape, dtype=np.int64)
+            flat_out, flat_x = out.reshape(-1), x.reshape(-1)  # a 1-D strided x stays a view
+            for s in range(0, len(flat_x), BATCH):
+                flat_out[s:s + BATCH] = self._linear(tables, flat_x[s:s + BATCH])
+            return out
+        lo, hi = tables
+        out = lo[x & (len(lo) - 1)]
+        out ^= hi[x >> (len(lo).bit_length() - 1)]
+        return out
+
+    def _power_images(self, e: int) -> np.ndarray:
+        """(x^j)^e for j < m: the basis images of x -> x^e, which is GF(2)-linear
+        for e a power of 2."""
+        return self.vterm(1, np.int64(1) << np.arange(self.m), e)
+
     @cached_property
-    def _quartic_basis(self) -> list[int]:
-        basis = np.int64(1) << np.arange(self.m, dtype=np.int64)
-        return np.bitwise_xor.reduce(
-            [self.vterm(1, basis, 4 ** i) for i in range(1, self.m - 1, 2)]).tolist()
+    def _square_map(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._linear_tables(self._power_images(2))
+
+    @cached_property
+    def _fourth_map(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._linear_tables(self._power_images(4))
+
+    @cached_property
+    def _quartic_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tables of c -> sum of c^(4^i) over odd i in [1, m-2]."""
+        return self._linear_tables(np.bitwise_xor.reduce(
+            [self._power_images(4 ** i) for i in range(1, self.m - 1, 2)]))
+
+    def vsquare(self, x) -> np.ndarray:
+        """x^2 for every element of x; squaring is GF(2)-linear, so this is two
+        table reads per element and no log gather."""
+        return self._linear(self._square_map, x)
 
     def vsolve_quartic(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  For odd
         m, v = sum of c^(4^i) over odd i in [1, m-2] has v^4 + v = c + Tr(c), and
         Tr(v) = 0 where Tr(c) = 0 (the other root is v + 1).  The map is
-        GF(2)-linear: an XOR of the basis images picked out by the bits of c."""
+        GF(2)-linear, read from its two tables; the root check reads v^4 from the
+        separate tables of x -> x^4."""
         if self.m % 2 == 0:
             raise ValueError("quartic solver requires odd m")
         c = np.asarray(c, dtype=np.int64)
         has_root = self.trace_bits(c) == 0
-        v = np.zeros(c.shape, dtype=np.int64)
-        for j, vj in enumerate(self._quartic_basis):
-            v ^= ((c >> j) & 1) * vj
-        v = np.where(has_root, v, 0)
-        lost = has_root & ((self.vterm(1, v, 4) ^ v) != c)
-        if np.count_nonzero(lost):
-            raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={int(c[lost][0]):#x}")
+        v = self._linear(self._quartic_map, c)
+        v *= has_root
+        flat_c, flat_v, flat_root = c.reshape(-1), v.reshape(-1), has_root.reshape(-1)
+        for s in range(0, len(flat_v), BATCH):
+            check = self._linear(self._fourth_map, flat_v[s:s + BATCH])
+            check ^= flat_v[s:s + BATCH]
+            lost = (check != flat_c[s:s + BATCH]) & flat_root[s:s + BATCH]
+            if np.count_nonzero(lost):
+                first = int(flat_c[s:s + BATCH][lost][0])
+                raise AssertionError(f"no root of v^4+v=c despite Tr(c)=0, c={first:#x}")
         return v, has_root
 
     def monomial_table(self, coef: int, e: int) -> np.ndarray:

@@ -93,11 +93,13 @@ class Report:
             "summary": self.summary,
         }
 
-    def determinism_hash(self) -> str:
-        blob = json.dumps(self.body(), sort_keys=True, separators=(",", ":"))
+    def determinism_hash(self, body: dict | None = None) -> str:
+        """SHA-256 of the canonical JSON of ``body``, by default :meth:`body`."""
+        blob = json.dumps(self.body() if body is None else body,
+                          sort_keys=True, separators=(",", ":"))
         return sha256(blob.encode()).hexdigest()
 
     def as_dict(self) -> dict:
         # meta (timestamps, elapsed, thread count) is excluded from the hash
-        return {**self.body(), "determinism_hash": self.determinism_hash(),
-                "meta": self.meta}
+        body = self.body()
+        return {**body, "determinism_hash": self.determinism_hash(body), "meta": self.meta}

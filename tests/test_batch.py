@@ -149,8 +149,11 @@ def test_vsolve_quartic_exhaustive(m):
 
 def test_vsolve_quartic_names_the_first_lost_root():
     ctx = FieldCtx(5)
-    ctx._quartic_basis[2] ^= 0b10  # x is outside GF(4), so v + x is never a root again
-    first = min(c for c in range(ctx.q) if ctx.trace(c) == 0 and c >> 2 & 1)
+    lo, hi = ctx._quartic_map  # at m = 5, lo is read at the 3 low bits of c
+    lo = lo.copy()
+    lo[0b100] ^= 0b10  # x is outside GF(4), so v + x is never a root again
+    ctx._quartic_map = lo, hi
+    first = min(c for c in range(ctx.q) if ctx.trace(c) == 0 and c & 0b111 == 0b100)
     with pytest.raises(AssertionError, match=rf"c={first:#x}$"):
         ctx.vsolve_quartic(np.arange(ctx.q))
 

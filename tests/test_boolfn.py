@@ -20,6 +20,14 @@ def test_tracepoly_shape():
         TracePoly(a7=0)
 
 
+@pytest.mark.parametrize("b", [{1: 5}, {"1": "0x5"}, "15", b"\x01\x05"])
+def test_tracepoly_refuses_a_mapping_or_string_for_b(b):
+    # a dict would be read as its keys: {1: 5} as b = (1,), another function
+    with pytest.raises(ValueError, match="sequence of coefficients"):
+        TracePoly(1, b)
+    assert TracePoly(1, [0, 5]).b == (0, 5)
+
+
 def test_eval_g_scalar(ctx5):
     g = TracePoly(a7=2, b=(1, 3))
     for x in (0, 1, 7, 31):

@@ -661,7 +661,7 @@ def test_reader_closing_stdout_early_is_no_error():
     with subprocess.Popen([sys.executable, "-m", "walshforge.cli", "scan", "--m", "9",
                            "--count", "1000", "--s", "1"], env=env, text=True,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == "{\n"
+        assert proc.stdout.read(1) == "{"
         proc.stdout.close()
         try:
             _, err = proc.communicate(timeout=60)
@@ -669,6 +669,25 @@ def test_reader_closing_stdout_early_is_no_error():
             proc.kill()
     assert proc.returncode == 0, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--m", "7", "--g", '{"a7":"0x5","b":{"1":"0x3"},"s":1}'],
+    ["verify", "--m", "5", "--count", "1", "--s", "2"],
+    ["scan", "--m", "5", "--count", "3"],
+    ["curve", "--m", "5", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x1"}']],
+    ids=lambda argv: argv[0])
+def test_stdout_is_one_json_line_of_the_report(capsys, monkeypatch, argv):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, *rest: (emitted.append(report),
+                                                             emit(report, *rest)))
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.count("\n") == 1 and out.endswith("}\n")
+    doc = json.loads(out)
+    assert doc == emitted[0].as_dict()
+    assert doc["determinism_hash"] == emitted[0].determinism_hash()
 
 
 def test_scan_refuses_g(capsys):

@@ -253,6 +253,28 @@ def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
     assert sorted(ctx._powers) == [2, 5, 7]
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_vsquare_is_mul_of_x_by_itself(m):
+    ctx = FieldCtx(m)
+    assert ctx.vsquare(np.arange(ctx.q)).tolist() == [ctx.mul(x, x) for x in range(ctx.q)]
+
+
+def test_vsolve_quartic_allocates_little():
+    ctx = FieldCtx(15)
+    c = np.arange(ctx.q, dtype=np.int64)
+    ctx.vsolve_quartic(c)  # warm: the solution and x^4 tables are built here
+    tracemalloc.start()
+    try:
+        v, has_root = ctx.vsolve_quartic(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # v (8q bytes), has_root (q) and the int64 temporaries of one BATCH block
+    # (6q at m = 15): the root check runs block by block, on no second whole array
+    assert peak <= 20 * ctx.q
+    assert np.count_nonzero(has_root) == ctx.q // 2
+
+
 def test_even_degree_fields_supported():
     ctx = FieldCtx(4)
     assert ctx.q == 16
