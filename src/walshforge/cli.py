@@ -71,7 +71,8 @@ def _read_arg_or_file(value: str) -> str:
 def _field(m: int, modulus: int) -> FieldCtx:
     """The context every command of this process at (m, modulus) shares, so
     its tables are built once.  One entry: an idle process holds at most one
-    field (24 MB plus 4 MB per exponent used at m = 20).  A ValueError is
+    field (24 MB plus 4 MB per exponent used at m = 20, and genus2's tables,
+    11 MB at m = 17).  A ValueError is
     raised again on every call, never cached."""
     return FieldCtx(m, modulus)
 

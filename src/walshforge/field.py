@@ -43,6 +43,11 @@ point count are such rows.  Each power array is built the first time its
 exponent is used and stays cached on the context (4 MB per exponent at
 m = 20).  ``trace_bits(monomial_table(...))`` is its test oracle.
 
+Other modules keep tables that depend on the field alone on the context
+through ``table(name, build)``: built on first use, read-only, and shared by
+every later caller, as genus2 does with its radical and trace-sequence
+tables.
+
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
 ``popcount`` counts their set bits.
@@ -199,6 +204,7 @@ class FieldCtx:
         self._trace_mask = self._dual_cols[0]  # dual(1): trace(x) = parity(x & mask)
         self._build_tables()
         self._powers: dict[int, np.ndarray] = {}  # e -> uint32 x^e for x in [0, q)
+        self._tables: dict[str, tuple] = {}  # name -> read-only arrays, see table()
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -315,6 +321,16 @@ class FieldCtx:
         log[0] = -self.q  # poison: any use of log[0] lands far out of range
         self._exp = _frozen(np.concatenate([exp, exp]))  # doubled: exp[i+j] needs no reduction
         self._log = _frozen(log)
+
+    def table(self, name: str, build) -> tuple:
+        """The arrays ``build(self)`` returns, made read-only, built the first
+        time ``name`` is asked for and kept on the context: the tables another
+        module derives from the field alone (genus2's radicals and trace
+        sequences), built once however many functions the context serves."""
+        arrays = self._tables.get(name)
+        if arrays is None:
+            arrays = self._tables[name] = tuple(_frozen(a) for a in build(self))
+        return arrays
 
     def _find_generator(self) -> int:
         n = self.q - 1

@@ -1,7 +1,8 @@
 """Supersingular genus-2 machinery for curves y^2 + y = a x^5 + b x^3 + c x + d.
 
 The quadratic form Q(x) = Tr(x R(x)) with R = a x^4 + b x^2 + c^2 x has a
-radical W equal to the kernel in the field of the linearized polynomial
+radical W (van der Geer and van der Vlugt, Compositio Math. 84, 1992, treat
+these forms) equal to the kernel in the field of the linearized polynomial
 
     E_{a,b}(x) = a^4 x^16 + b^4 x^8 + b^2 x^2 + a x = x P(x) (1 + x^5 P(x)),
     P(x) = a^2 x^5 + b^2 x + a.
@@ -16,16 +17,26 @@ rescaling to a = b form, is a test oracle in ``tests/oracles.py``.
 counts and the point count for a whole array of curves at once; the
 one-curve ``radical``, ``classify`` and ``count_points`` are their test
 oracles (``count_points`` also counts the one curve of ``walshforge curve``).
-``classify_curves`` builds the rows E(e_j) << m | e_j of a block of curves
-from log a and log b, gathered once per block, and finds W by inserting them
-one at a time into a basis kept by leading bit, one ``min(v, v ^ slot)`` per
-step; Q is evaluated on the kernel rows alone.  Like ``e_poly`` it refuses
-a = 0.
+Scaling x by lam maps one radical onto another: Q_{a,b,c}(lam x) =
+Q_{a lam^5, b lam^3, c lam}(x), so w and whether Q vanishes on W do not
+change.  When gcd(5, q - 1) = 1, that is when 4 does not divide m,
+lam = a^(-1/5) brings every curve to the normal form (1, u, c'), and
+``classify_curves`` reads its radical from one table over u, built once per
+context: w, the ``dual`` masks of a kernel basis of E_{1,u} and Q_{1,u,0} on
+that basis; Q_{1,u,c'} = Q_{1,u,0} + Tr(c' x) then vanishes on W iff
+parity(dual(v) & c') = Q_{1,u,0}(v) on every basis vector v.  When 4 | m,
+x^5 is not a bijection, and the curves themselves are eliminated.  One
+elimination finds every radical, the table's and the 4 | m curves': it
+builds the rows E(e_j) << m | e_j of a block of curves from log a and
+log b, gathered once per block, and inserts them one at a time into a basis
+kept by leading bit, one ``min(v, v ^ slot)`` per step.  Like ``e_poly``
+``classify_curves`` refuses a = 0.
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
-m-sequence Tr(g^n), built once per call, so a curve's row of traces is
-an XOR of three packed word slices, counted by popcount.  It never calls
-the radical classifier.
+m-sequence Tr(g^n), packed once per context, so a curve's row of traces is
+an XOR of three packed word slices, counted by popcount.  Its starts are
+read from the raw (a, b, c, d), with no normal form: it never calls the
+radical classifier, so the count stays independent of it.
 """
 
 from __future__ import annotations
@@ -131,10 +142,10 @@ class CurveArrays:
     radius: np.ndarray
 
 
-def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
-                    c: np.ndarray) -> CurveArrays:
-    """:func:`classify` for the curves (a[k], b[k], c[k], .) at once; every
-    a[k] must be nonzero.
+def _kernel_basis(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, v): every vector v of a basis of the kernel of E_{a[k], b[k]}, in
+    order of k; every a[k] must be nonzero.  This elimination is the one
+    code that finds a radical.
 
     The rows E(e_j) << m | e_j (e_j = 2^j; the low half tracks which basis
     combination a row is) of a block of curves are an (m, k) array.  Each
@@ -145,13 +156,8 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     h from m-1 down to 0, ``min(v, v ^ slots[h])`` clears bit m+h of v where
     it is set and the slot is filled; the reduced row then fills the slot of
     its leading bit.  Rows whose E half clears (they go to the scratch slot
-    m) are a basis of W, and w counts them per curve.  Q is linear on W, so
-    it vanishes on W iff it vanishes on that basis; Q(v) = Tr(a v^5 +
-    b v^3 + c v), as Tr(c^2 v^2) = Tr(c v), is evaluated on the kernel rows
-    alone, one trace of the sum of the three products.
+    m) are the basis of the kernel.
     """
-    if np.count_nonzero(a == 0):
-        raise ValueError("degenerate curve: coefficient a of x^5 must be nonzero")
     m, n = ctx.m, ctx.q - 1
     basis = np.int64(1) << np.arange(m, dtype=np.int64)[:, None]
     l1 = ctx.vlog(basis)
@@ -159,12 +165,10 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
     lead = np.full(ctx.q, m, dtype=np.int64)  # leading bit of an E half; 0 -> scratch slot m
     for h in range(m):
         lead[1 << h:2 << h] = h
-    w = np.empty(len(a), dtype=np.int64)
-    vanishes = np.empty(len(a), dtype=bool)
+    ks, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     step = max(1, BATCH // m)
     for lo in range(0, len(a), step):
-        sl = slice(lo, lo + step)
-        ak, bk, ck = a[sl], b[sl], c[sl]
+        ak, bk = a[lo:lo + step], b[lo:lo + step]
         la, lb = ctx.vlog(ak), ctx.vlog(np.where(bk == 0, 1, bk))
         rows = ctx.vexp(lb * 4 % n + l8) ^ ctx.vexp(lb * 2 % n + l2)  # b^4 e^8 + b^2 e^2
         rows *= bk != 0
@@ -179,17 +183,89 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
                 np.bitwise_xor(row, slots[h], out=flip)
                 np.minimum(row, flip, out=row)
             slots[lead[row >> m], cols] = row
-        j, k = np.nonzero(rows < ctx.q)  # the kernel rows, and their curves
-        v = rows[j, k]
-        qv = ctx.trace_bits(ctx.vterm(ak[k], v, 5) ^ ctx.vterm(bk[k], v, 3)
-                            ^ ctx.vterm(ck[k], v, 1))
-        w[sl] = np.bincount(k, minlength=len(ak))
-        vanishes[sl] = np.bincount(k[qv == 1], minlength=len(ak)) == 0
+        k, j = np.nonzero(rows.T < ctx.q)  # the kernel rows, by curve
+        ks.append(k + lo)
+        vs.append(rows[j, k])
+    return np.concatenate(ks), np.concatenate(vs)
+
+
+def _radical_table(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, dual, q0) of the curves (1, u, 0) for every u in [0, q): w[u] = dim W
+    (uint8); dual[i, u] = dual(v_i), the uint32 mask with Tr(v_i y) =
+    parity(dual(v_i) & y), for the kernel basis v_0 .. v_(w-1) of E_{1,u};
+    q0[i, u] = Q_{1,u,0}(v_i) (uint8).  E has degree 16, so w <= 4; the
+    entries past w are 0.  About 21 bytes per element."""
+    k, v = _kernel_basis(ctx, np.ones(ctx.q, dtype=np.int64), np.arange(ctx.q, dtype=np.int64))
+    w = np.bincount(k, minlength=ctx.q)  # curve k is (1, u = k, 0)
+    i = np.arange(len(k)) - (np.cumsum(w) - w)[k]  # v's place in its curve's basis
+    dual = np.zeros((4, ctx.q), dtype=np.uint32)
+    dual[i, k] = ctx._linear(ctx._linear_tables(ctx._dual_cols), v)
+    q0 = np.zeros((4, ctx.q), dtype=np.uint8)
+    q0[i, k] = ctx.trace_bits(ctx.vterm(1, v, 5) ^ ctx.vterm(k, v, 3))
+    return w.astype(np.uint8), dual, q0
+
+
+def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> CurveArrays:
+    """:func:`classify` for the curves (a[k], b[k], c[k], .) at once; every
+    a[k] must be nonzero.
+
+    Q_{a,b,c}(lam x) = Q_{a lam^5, b lam^3, c lam}(x), so x -> lam x maps the
+    radical of the second form onto that of the first, and w and whether Q
+    vanishes on W are the same for both.  When gcd(5, q - 1) = 1 (4 does not
+    divide m), lam = a^(-1/5) brings every curve to the normal form
+    (1, u, c') with u = b lam^3 and c' = c lam, and the radical is read from
+    the context's table of the curves (1, u, 0) (:func:`_radical_table`,
+    built once per context): w = w[u], and Q = Q_{1,u,0} + Tr(c' x) vanishes
+    on W iff parity(dual[i, u] & c') = q0[i, u] for every i.  When 4 | m,
+    x^5 is not a bijection, and :func:`_kernel_basis` runs on the curves
+    themselves: Q is linear on W, so it vanishes on W iff it vanishes on the
+    kernel basis, where Q(v) = Tr(a v^5 + b v^3 + c v), as Tr(c^2 v^2) =
+    Tr(c v), is one trace of the sum of the three products.
+    """
+    if np.count_nonzero(a == 0):
+        raise ValueError("degenerate curve: coefficient a of x^5 must be nonzero")
+    m = ctx.m
+    if m % 4:
+        w_u, dual, q0 = ctx.table("genus2.radicals", _radical_table)
+        u = ctx.vterm(b, a, (-3, 5))
+        cl = ctx.vterm(c, a, (-1, 5)).astype(np.uint32)
+        w = w_u[u].astype(np.int64)
+        odd = np.bitwise_count(np.take(dual, u, axis=1) & cl)  # Tr(c' v_i) per row i
+        odd &= 1
+        vanishes = ~np.logical_or.reduce(odd != np.take(q0, u, axis=1))
+    else:
+        k, v = _kernel_basis(ctx, a, b)
+        qv = ctx.trace_bits(ctx.vterm(a[k], v, 5) ^ ctx.vterm(b[k], v, 3)
+                            ^ ctx.vterm(c[k], v, 1))
+        w = np.bincount(k, minlength=len(a))
+        vanishes = np.bincount(k[qv == 1], minlength=len(a)) == 0
     if np.count_nonzero((w[vanishes] + m) % 2):
         bad = int(w[vanishes][(w[vanishes] + m) % 2 == 1][0])
         raise AssertionError(f"2^w*q not a square: w={bad}, m={m}")
     radius = np.where(vanishes, np.int64(1) << ((w + m) // 2), 0)
     return CurveArrays(w=w, V_equals_W=vanishes, radius=radius)
+
+
+_TERMS = (5, 3, 1)  # the exponents of Q's terms, in the order of the sequence tables
+
+
+def _sequence_tables(ctx: FieldCtx) -> tuple[np.ndarray]:
+    """The packed offset tables of :func:`count_points_all`, flat: sequence 0 is
+    zero, then for each e in ``_TERMS`` the gcd(e, q - 1) sequences
+    Tr(g^(r + e*i)), r < gcd(e, q - 1), in order of r.  Word j of offset
+    table o of a sequence holds its bits 64*j + o .. 64*j + o + 63; each
+    sequence has 64 tables of 2*ceil((q-1)/64) - 1 words (8.4 MB in all at
+    m = 17, where every gcd is 1)."""
+    n = ctx.q - 1
+    width = 2 * -(-n // 64) - 1  # words in one offset table: room for a shift of up to n - 1
+    i = np.arange(64 * (width + 1), dtype=np.int64)
+    tr = ctx.trace_bits(ctx.vexp(np.arange(n)))  # Tr(g^n)
+    seqs = [np.zeros(len(i), dtype=np.uint8)]
+    for e in _TERMS:
+        seqs += [tr[(r + e * i) % n] for r in range(math.gcd(e, n))]
+    return (pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
+            .reshape(-1),)
 
 
 def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -200,32 +276,27 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     Write x = g^i (i < q - 1) for the table generator g.  With l = log(coef)
     and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
     u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
-    e*shift = l - r (mod q - 1).  Each u is gathered from the sequence
-    Tr(g^n), n < q - 1, built once per call, and its 64 windows starting
-    at bits 0 .. 63 are packed at once, so the row of a term over all x != 0
-    is one word slice, and a curve's row is the XOR of three slices.  The
-    rows are gathered for blocks of curves of at most ``BATCH`` words and
-    counted by popcount.  The offset tables hold 2 * 64 words per 64 x for
-    each sequence, 8 MB at m = 17.
+    e*shift = l - r (mod q - 1).  The 64 windows of each u starting at bits
+    0 .. 63 are packed once per context (:func:`_sequence_tables`), so the
+    row of a term over all x != 0 is one word slice, and a curve's row is
+    the XOR of three slices.  The rows are gathered for blocks of curves of
+    at most ``BATCH`` words and counted by popcount.
     """
     n = ctx.q - 1
     n_words = -(-n // 64)
-    width = 2 * n_words - 1  # words in one offset table: room for a shift of up to n - 1
-    i = np.arange(64 * (width + 1), dtype=np.int64)
-    seqs = [np.zeros(len(i), dtype=np.uint8)]  # sequence 0: the row of a zero coefficient
+    width = 2 * n_words - 1
+    (tables,) = ctx.table("genus2.sequences", _sequence_tables)
     starts = []  # first word of each curve's a, b and c row in the flat tables
-    tr = ctx.trace_bits(ctx.vexp(np.arange(n)))  # Tr(g^n)
-    for coef, e in ((a, 5), (b, 3), (c, 1)):
+    first = 1  # the first sequence of the term
+    for coef, e in zip((a, b, c), _TERMS):
         k = math.gcd(e, n)
         logs = ctx.vlog(np.where(coef == 0, 1, coef))
         shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
-        seq = np.where(coef == 0, 0, len(seqs) + logs % k)
+        seq = np.where(coef == 0, 0, first + logs % k)
         starts.append((seq * 64 + shift % 64) * width + shift // 64)
-        seqs += [tr[(r + e * i) % n] for r in range(k)]
-    # word j of offset table o holds bits 64*j + o .. 64*j + o + 63 of its sequence
-    tables = pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
+        first += k
     # slices[s] is the n_words-word slice starting at word s of the flat tables
-    slices = sliding_window_view(tables.reshape(-1), n_words)
+    slices = sliding_window_view(tables, n_words)
     last = np.uint64((1 << (n % 64)) - 1)  # bits past i = q - 2 are padding
     ones = np.empty(len(a), dtype=np.int64)  # x != 0 with Tr(a x^5 + b x^3 + c x) = 1
     step = max(1, BATCH // n_words)

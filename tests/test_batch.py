@@ -274,7 +274,7 @@ def test_count_blocks_split_the_x_range(monkeypatch):
     ctx = CTX[7]
     g = TracePoly(5, (3, 0, 9))
     a, b, c, d = reduce_difference_all(ctx, g)
-    full, curves = count_points_all(ctx, a, b, c, d), classify_curves(ctx, a, b, c)
+    full = count_points_all(ctx, a, b, c, d)
     bits = truth_table(ctx, g)
     table = x_alpha_all(ctx, bits)
     monkeypatch.setattr(field, "BATCH", 50)
@@ -282,9 +282,6 @@ def test_count_blocks_split_the_x_range(monkeypatch):
     monkeypatch.setattr(autocorr, "BATCH", 50)
     assert x_alpha_all(ctx, bits).tolist() == table.tolist()
     assert count_points_all(ctx, a, b, c, d).tolist() == full.tolist()
-    blocked = classify_curves(ctx, a, b, c)
-    assert blocked.w.tolist() == curves.w.tolist()
-    assert blocked.V_equals_W.tolist() == curves.V_equals_W.tolist()
 
 
 def assert_curves_match_classify(ctx, a, b, c) -> set:
@@ -299,29 +296,47 @@ def assert_curves_match_classify(ctx, a, b, c) -> set:
     return seen
 
 
+def random_curves(rng, q, n=200):
+    """n curves with a != 0; b = 0 drops the b terms of E, c = 0 the c term of Q."""
+    a = rng.integers(1, q, n)
+    b, c = rng.integers(0, q, (2, n))
+    b[:40] = 0
+    c[20:60] = 0
+    return a, b, c
+
+
+@pytest.mark.parametrize("m,path", [*((m, "table") for m in (3, 5, 6, 7, 9, 10)),
+                                    *((m, "direct") for m in (4, 8, 12))])
+def test_curve_arrays_match_scalar_classify(m, path):
+    # where 4 does not divide m, every curve is read from the table of its
+    # normal form (1, u, c'); where it does, x^5 is no bijection and the curves
+    # themselves are eliminated.  Every (w, Q vanishes on W) pair occurs; w = 0
+    # makes W = {0}, on which Q always vanishes
+    ctx = FieldCtx(m)
+    a, b, c = random_curves(np.random.default_rng(m), ctx.q, 4000)
+    seen = assert_curves_match_classify(ctx, a, b, c)
+    assert ("genus2.radicals" in ctx._tables) == (path == "table")
+    assert seen == {(w, v) for w in range(m % 2, 5, 2) for v in (True, False)} - {(0, False)}
+
+
 def test_curve_blocks_match_scalar_classify(monkeypatch):
-    # BATCH = 50 makes blocks of 50 // m curves: at m = 7 the 127 shift curves
-    # fill 18 blocks of 7 and a last block of 1, and 200 random curves end in
-    # a block of 4 (m = 7) or 2 (m = 8, blocks of 6)
+    # BATCH = 50 makes elimination blocks of 50 // m curves.  The contexts are
+    # fresh, so that the radical table is built under the patch: at m = 7 its
+    # q = 128 curves (1, u, 0) fill 18 blocks of 7 and a last block of 2; at
+    # m = 8, where the curves themselves are eliminated, 200 random curves end
+    # in a block of 2
     monkeypatch.setattr(genus2, "BATCH", 50)
     rng = np.random.default_rng(78)
-    ctx = CTX[7]
+    ctx = FieldCtx(7)
+    assert ctx.q % (50 // 7) == 2
     a, b, c, _ = reduce_difference_all(ctx, TracePoly(5, (3, 0, 9)))
-    assert len(a) % (50 // 7) == 1
     seen = assert_curves_match_classify(ctx, a, b, c)
-    for m in (7, 8):
-        ctx = CTX[m]
-        a = rng.integers(1, ctx.q, 200)
-        b, c = rng.integers(0, ctx.q, (2, 200))
-        b[:40] = 0  # b = 0 drops the b terms of E; c = 0 the c term of Q
-        c[20:60] = 0
-        assert len(a) % (50 // m) in (2, 4)
-        found = assert_curves_match_classify(ctx, a, b, c)
-        if m % 2:
-            seen |= found
-            assert seen == {(w, v) for w in (1, 3) for v in (True, False)}
-        else:
-            assert {w for w, _ in found} == {0, 2, 4}
+    seen |= assert_curves_match_classify(ctx, *random_curves(rng, ctx.q))
+    assert seen == {(w, v) for w in (1, 3) for v in (True, False)}
+    ctx = FieldCtx(8)
+    a, b, c = random_curves(rng, ctx.q)
+    assert len(a) % (50 // 8) == 2
+    assert {w for w, _ in assert_curves_match_classify(ctx, a, b, c)} == {0, 2, 4}
 
 
 def test_curves_with_zero_a_are_refused():
@@ -332,8 +347,9 @@ def test_curves_with_zero_a_are_refused():
 
 
 def test_batch_temporaries_stay_small():
-    # a (q-1) x q array at m = 11 would be 32 MB of int64
-    ctx = CTX[11]
+    # a (q-1) x q array at m = 11 would be 32 MB of int64; a fresh context,
+    # so that the peak includes building both genus2 tables
+    ctx = FieldCtx(11)
     a, b, c, d = reduce_difference_all(ctx, TracePoly(0x155, (3, 0, 9)))
     tracemalloc.start()
     try:

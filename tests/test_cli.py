@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import walshforge.autocorr as autocorr
 import walshforge.cli as cli
+import walshforge.genus2 as genus2
+from walshforge.boolfn import reduce_difference_all, tracepoly_from_json
 from walshforge.classify7 import classify_all
 from walshforge.cli import SLOW_M, main
 from walshforge.field import FieldCtx, default_modulus
@@ -257,6 +260,67 @@ def test_negative_control_fails_named_check(capsys, monkeypatch, cmd, route, cor
             assert "first at alpha=0x" in c["note"] and "X_alpha=" in c["note"], c
             if route in ("count_points_all", "classify_curves"):  # alpha = 1 corrupted
                 assert "first at alpha=0x1:" in c["note"], c
+
+
+def _curve_check(doc, name) -> dict:
+    return next(c for c in doc["checks"] if c["name"].split("[")[0] == name)
+
+
+@pytest.mark.parametrize("cmd", sorted(CONTROL_ARGV))
+def test_corrupted_radical_table_fails_membership(capsys, monkeypatch, cmd):
+    # w of one normal form (1, u, .) raised by 2, at the u of the first shift
+    # whose count is not q + 1: the radius of every such shift with that u
+    # doubles, and no earlier shift has a nonzero radius to change
+    ctx = cli._field(7, default_modulus(7))
+    a, b, c, _ = reduce_difference_all(ctx, tracepoly_from_json(CONTROL_G))
+    k = _first(genus2.classify_curves(ctx, a, b, c).radius)
+    w, dual, q0 = ctx.table("genus2.radicals", genus2._radical_table)
+    w = w.copy()
+    w[ctx.mul(int(b[k]), ctx.frac_pow(int(a[k]), -3, 5))] += 2
+    monkeypatch.setitem(ctx._tables, "genus2.radicals", (w, dual, q0))
+    code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
+    assert code == 1 and _failed(doc) == {"curve_count_membership"}
+    assert f"first at alpha={k + 1:#x}:" in _curve_check(doc, "curve_count_membership")["note"]
+
+
+@pytest.mark.parametrize("cmd", sorted(CONTROL_ARGV))
+def test_corrupted_sequence_table_fails_bridge(capsys, monkeypatch, cmd):
+    # bit 0 of the word where the a term of alpha = 1 starts, Tr(a * 1^5): at
+    # m = 7 every a term reads sequence 1, Tr(g^(5i)), in the offset table
+    # shift % 64 from word shift // 64 on, with 5 * shift = log(a), and each
+    # offset table has 2 * 2 - 1 = 3 words; the count at alpha = 1 moves by 2
+    ctx = cli._field(7, default_modulus(7))
+    a = reduce_difference_all(ctx, tracepoly_from_json(CONTROL_G))[0]
+    shift = int(ctx.vlog(a[:1])[0]) * pow(5, -1, ctx.q - 1) % (ctx.q - 1)
+    (tables,) = ctx.table("genus2.sequences", genus2._sequence_tables)
+    tables = tables.copy()
+    tables[(64 + shift % 64) * 3 + shift // 64] ^= np.uint64(1)
+    monkeypatch.setitem(ctx._tables, "genus2.sequences", (tables,))
+    code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
+    assert code == 1 and "curve_count_bridge" in _failed(doc)
+    assert "first at alpha=0x1:" in _curve_check(doc, "curve_count_bridge")["note"]
+
+
+def test_genus2_tables_built_once_per_context(capsys, monkeypatch):
+    # the radical table and the sequence tables depend on the field alone: the
+    # commands of one process at one (m, modulus) build each once, and a
+    # context at another modulus builds its own.  At m = 8 (4 | m) every
+    # classify_curves call eliminates its own curves
+    calls = Counter()
+    for name in ("_kernel_basis", "_sequence_tables"):
+        real = getattr(genus2, name)
+        monkeypatch.setattr(genus2, name,
+                            lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    cli._field.cache_clear()  # no context left by an earlier test
+    g = '{"a7":"0x3","b":{"0":"0x5"},"s":0}'
+    assert run_json(capsys, "verify", "--m", "7", "--count", "3")[0] == 0
+    assert run_json(capsys, "analyze", "--m", "7", "--checks", "genus2", "--g", g)[0] == 0
+    assert calls == {"_kernel_basis": 1, "_sequence_tables": 1}
+    assert run_json(capsys, "verify", "--m", "7", "--count", "1", "--modulus", "0x89")[0] == 0
+    assert calls == {"_kernel_basis": 2, "_sequence_tables": 2}
+    for _ in range(2):
+        assert run_json(capsys, "analyze", "--m", "8", "--checks", "genus2", "--g", g)[0] == 0
+    assert calls == {"_kernel_basis": 4, "_sequence_tables": 3}
 
 
 @pytest.mark.parametrize("argv", [

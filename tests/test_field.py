@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import walshforge.genus2 as genus2
 from walshforge.field import FieldCtx, default_modulus, is_irreducible
 
 # second irreducible quintic besides the default 0x25, for independence tests
@@ -284,6 +285,9 @@ def test_even_degree_fields_supported():
 def test_tables_are_read_only():
     # the CLI shares one context between commands: no caller may write into it
     ctx = FieldCtx(5)
-    for table in (ctx._exp, ctx._log, ctx._power(3)):
+    g2_tables = (*ctx.table("genus2.radicals", genus2._radical_table),
+                 *ctx.table("genus2.sequences", genus2._sequence_tables))
+    assert ctx.table("genus2.radicals", None)[0] is g2_tables[0]  # built once
+    for table in (ctx._exp, ctx._log, ctx._power(3), *g2_tables):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
