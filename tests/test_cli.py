@@ -124,6 +124,8 @@ def test_verify_mismatch_without_genus2_has_no_curve(capsys):
 
 @pytest.mark.parametrize("argv,builds", [
     (("verify", "--m", "5", "--count", "2"), 2),
+    (("verify", "--m", "5", "--count", "1", "--checks", "predictor"), 1),
+    (("scan", "--m", "7", "--count", "3"), 3),
     (("analyze", "--m", "7", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x3"}'), 1),
     (("analyze", "--m", "7", "--checks", "predictor,auxcurve", "--g", '{"a7":"0x3"}'), 0),
 ])
@@ -138,6 +140,28 @@ def test_one_truth_table_per_function(capsys, monkeypatch, argv, builds):
                                 lambda ctx, g, real=real: calls.append(g) or real(ctx, g))
     code, _ = run_json(capsys, *argv)
     assert code == 0 and len(calls) == builds
+
+
+def test_mismatch_records_capped_across_functions(capsys, monkeypatch):
+    # 7 mispredicted shifts in each of 3 G: the first G gives 7 records, the
+    # second the last 3 of the 10 kept, and every mismatch is still counted
+    real = cli.classify_all
+
+    def mispredict(ctx, g):
+        shifts = real(ctx, g)
+        predicted = shifts.predicted.copy()
+        predicted[:7] = np.where(predicted[:7] == 0, 2 * ctx.q, 0)
+        return dataclasses.replace(shifts, predicted=predicted)
+
+    monkeypatch.setattr(cli, "classify_all", mispredict)
+    code, doc = run_json(capsys, "verify", "--m", "7", "--count", "3", "--checks", "predictor")
+    records = doc["summary"]["mismatches"]
+    assert code == 1 and len(records) == 10
+    assert Counter(rec["g"] for rec in records) == {0: 7, 1: 3}
+    assert not any("curve" in rec for rec in records)
+    first = doc["checks"][0]
+    assert first["name"] == "predictor_oracle_agreement" and first["lhs"] == 21
+    assert doc["summary"]["alphas_checked"] == 381
 
 
 # -- negative controls: one corrupted alpha per route must fail a named check ----
@@ -419,6 +443,20 @@ PINNED = [
      "3a15afb576807168dcc534432dcbb5ef5aaf684411dec6b6d64abb8ab33b006b"),
     (("curve", "--m", "17", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x0"}'),
      "a166d120aec46ab093d051ed539e78e7ffb0f6f78ed1159e976a5e97f942a8c0"),
+    # recorded before analyze, scan and verify shared one route pipeline:
+    # single-G verify with genus2 and no auxcurve, verify with auxcurve, the
+    # predictor note in analyze, the aux route reading eta_all, scan at even m
+    (("verify", "--m", "7", "--g", CONTROL_G, "--checks", "genus2"),
+     "cc009c286f47e13a1468e2486f80d72561635183823121c3219782792fdc8de8"),
+    (("verify", "--m", "7", "--count", "2", "--s", "2", "--seed", "3", "--checks", "auxcurve"),
+     "af7291f94771cb86e80974f79ac8488a4a00839d8c9e19bb907db657bce301aa"),
+    (("analyze", "--m", "7", "--checks", "autocorr,predictor", "--g", CONTROL_G),
+     "8276357db14a84404a3a3b795f8db98fc6ec3f7b22ce4634cea390e6defdce86"),
+    (("analyze", "--m", "9", "--checks", "auxcurve", "--g",
+      '{"a7":"0x1F","b":{"0":"0x3","1":"0x8","2":"0x41"},"s":2}'),
+     "53d69b8212eab2ff3b50f834a760661af01790c1ce121168c9490d3394349ada"),
+    (("scan", "--m", "8", "--count", "16", "--s", "3", "--seed", "9"),
+     "004e311f83d3467025d2cb039e183886c3d2624335975ebea86dd790c2b18f8a"),
 ]
 
 
