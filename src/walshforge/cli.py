@@ -6,6 +6,10 @@ Subcommands:
     verify   full per-shift predictor-vs-measured agreement (+ aux curve)
     curve    radical/point-count classification of one quintic curve
 
+analyze, scan and verify run one pipeline, ``_run_routes``, on each G; verify
+shows the passing spectrum and autocorrelation checks only through
+``sigma4_cross_path``.  Options must be spelled in full.
+
 Each command writes one JSON report as one line, to stdout or to the ``--out``
 file, in which case stdout gets a one-line verdict with the report's hash;
 ``python -m json.tool`` indents it for reading.
@@ -27,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -154,11 +158,6 @@ def _tagged(checks: list[Check], i: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 # report sections: each returns (summary row, checks) for one G
 
-def _bound_checks(ctx, g, lv: int, sigma4: int) -> list[Check]:
-    return [check_sigma_bound(ctx, g, sigma4), *check_linf_lower(ctx, g, lv),
-            check_linf_upper(ctx, lv)]
-
-
 def _spectrum_section(ctx, g, spec, bounds: bool):
     counts = amplitude_counts(spec)
     lv, sigma = len(counts) - 1, l4_fourth(spec, counts)  # counts runs 0..linf
@@ -166,9 +165,10 @@ def _spectrum_section(ctx, g, spec, bounds: bool):
     checks = [compare("parseval", parseval_sum(spec, counts), "==", ctx.q * ctx.q)]
     if bounds:
         divisor = 1 << -(-ctx.m // 3)  # 2^ceil(m/d) for binary degree d = 3
-        checks.append(compare("walsh_divisibility", lv % divisor, "==", 0,
-                              note=f"divisor {divisor}"))
-        checks += _bound_checks(ctx, g, lv, sigma)
+        checks += [compare("walsh_divisibility", lv % divisor, "==", 0,
+                           note=f"divisor {divisor}"),
+                   check_sigma_bound(ctx, g, sigma), *check_linf_lower(ctx, g, lv),
+                   check_linf_upper(ctx, lv)]
     return row, checks
 
 
@@ -250,43 +250,51 @@ def _auxcurve_section(ctx, g, eta, predicted_n: int | None):
              "N_assembled": counted["N_assembled"]}, checks)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-def cmd_analyze(args) -> Report:
-    ctx = _build_ctx(args)
-    checks_sel = _resolve_checks(args, args.m)
-    with_table = "autocorr" in checks_sel or "genus2" in checks_sel
-    if with_table:
-        _require_slow(args)
-    g = _load_g(args, ctx)
-    if g is None:
-        raise UsageError("analyze needs --g")
-    checks: list[Check] = []
+def _run_routes(ctx, g, routes, note: str = ""):
+    """Run the named routes (of ALL_CHECKS) on one G: (summary row, checks,
+    arrays).  The truth table is built once, and the X_alpha "table", the
+    "shifts" and the "genus2" route, kept in ``arrays``, only where read."""
     summary: dict = {}
+    checks: list[Check] = []
 
     def add(section) -> None:
         row, section_checks = section
         summary.update(row)
         checks.extend(section_checks)
 
-    spectral = "spectrum" in checks_sel or "bounds" in checks_sel
+    spectral = "spectrum" in routes or "bounds" in routes
+    with_table = "autocorr" in routes or "genus2" in routes
     bits = truth_table(ctx, g) if spectral or with_table else None
-    table = x_alpha_all(ctx, bits) if with_table else None
+    arrays = {"table": x_alpha_all(ctx, bits) if with_table else None}
     if spectral:
-        add(_spectrum_section(ctx, g, fwht(bits), "bounds" in checks_sel))
-    if "autocorr" in checks_sel:
-        add(_autocorr_section(ctx, table, summary.get("sigma4_spectrum")))
-    shifts = None
-    if "predictor" in checks_sel:
-        shifts = classify_all(ctx, g)
-        add(_predictor_section(ctx, g, shifts, summary,
-                               note="(N0, N) predictor vs autocorrelation"))
-    if "genus2" in checks_sel:
-        add(_genus2_section(ctx, _genus2_route(ctx, g), table))
-    if "auxcurve" in checks_sel:
-        eta = eta_all(ctx, g) if shifts is None else shifts.eta
+        add(_spectrum_section(ctx, g, fwht(bits), "bounds" in routes))
+    if "autocorr" in routes:
+        add(_autocorr_section(ctx, arrays["table"], summary.get("sigma4_spectrum")))
+    if "predictor" in routes:
+        arrays["shifts"] = classify_all(ctx, g)
+        add(_predictor_section(ctx, g, arrays["shifts"], summary, note))
+    if "genus2" in routes:
+        arrays["genus2"] = _genus2_route(ctx, g)
+        add(_genus2_section(ctx, arrays["genus2"], arrays["table"]))
+    if "auxcurve" in routes:
+        eta = arrays["shifts"].eta if "shifts" in arrays else eta_all(ctx, g)
         add(_auxcurve_section(ctx, g, eta, summary.get("predicted_N")))
+    return summary, checks, arrays
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def cmd_analyze(args) -> Report:
+    ctx = _build_ctx(args)
+    checks_sel = _resolve_checks(args, args.m)
+    if "autocorr" in checks_sel or "genus2" in checks_sel:
+        _require_slow(args)
+    g = _load_g(args, ctx)
+    if g is None:
+        raise UsageError("analyze needs --g")
+    summary, checks, _ = _run_routes(ctx, g, checks_sel,
+                                     note="(N0, N) predictor vs autocorrelation")
     config = {"cmd": "analyze", "m": ctx.m, "modulus": hex(ctx.modulus),
               "g": tracepoly_to_dict(g), "checks": list(checks_sel)}
     return Report(schema=SCHEMA, config=config, checks=checks, summary=summary)
@@ -298,12 +306,11 @@ def cmd_scan(args) -> Report:
     rows = []
     checks: list[Check] = []
     for i, g in enumerate(corpus):
-        row, spectral = _spectrum_section(ctx, g, fwht(truth_table(ctx, g)), bounds=False)
-        lv, nl, s4 = row["linf"], row["nl"], row["sigma4_spectrum"]
-        rows.append({"index": i, **tracepoly_to_dict(g), "linf": lv, "nl": nl, "sigma4": s4})
+        row, g_checks, _ = _run_routes(ctx, g, ("bounds",))
+        rows.append({"index": i, **tracepoly_to_dict(g), "linf": row["linf"],
+                     "nl": row["nl"], "sigma4": row["sigma4_spectrum"]})
         # a scan reports only the checks that fail
-        checks += _tagged([c for c in spectral + _bound_checks(ctx, g, lv, s4)
-                           if not c.passed], i)
+        checks += _tagged([c for c in g_checks if not c.passed], i)
     min_linf = min(r["linf"] for r in rows)
     max_linf = max(r["linf"] for r in rows)
     checks.append(compare("aggregate_linf_upper", max_linf ** 2, "<=", 36 * ctx.q))
@@ -327,42 +334,33 @@ def cmd_verify(args) -> Report:
                          "use analyze --checks for them")
     g0 = _load_g(args, ctx)
     corpus = [g0] if g0 is not None else _corpus(args, ctx)
+    routes = ("spectrum", "autocorr", "predictor",
+              *(c for c in ("genus2", "auxcurve") if c in checks_sel))
     checks: list[Check] = []
     mismatches: list[dict] = []
-    alphas = 0
+    alphas = len(corpus) * (ctx.q - 1)
     total_mism = 0
     for gi, g in enumerate(corpus):
-        bits = truth_table(ctx, g)  # both sides of the sigma4 cross-check read it
-        table = x_alpha_all(ctx, bits)
-        measured, auto_checks = _autocorr_section(ctx, table, l4_fourth(fwht(bits)))
-        # verify keeps the cross-path check, and the trichotomy only when it fails
-        g_checks = [c for c in auto_checks if c.name == "sigma4_cross_path" or not c.passed]
-        shifts = classify_all(ctx, g)
+        _, g_checks, arrays = _run_routes(ctx, g, routes)
+        # of the spectrum and autocorrelation checks, verify shows the
+        # cross-path one, and the others only when they fail
+        checks += _tagged([c for c in g_checks if not c.passed or c.name not in
+                           ("parseval", "x_alpha_trichotomy", "sigma4_decomposition")], gi)
+        table, shifts, route = arrays["table"], arrays["shifts"], arrays.get("genus2")
         predicted = shifts.predicted.copy()
         if args.selftest_negative and gi == 0:
             predicted[0] = 0 if predicted[0] else 2 * ctx.q  # alpha = 1
         wrong = np.flatnonzero(predicted != table[1:])
-        alphas += ctx.q - 1
         total_mism += len(wrong)
-        records = [(k, {"g": gi, "alpha": hex(k + 1), "predicted": int(predicted[k]),
-                        "measured": int(table[k + 1]),
-                        "lambda_zero": bool(shifts.lambda_zero[k]),
-                        "ell": hex(int(shifts.ell[k])), "eta": hex(int(shifts.eta[k])),
-                        "v": hex(int(shifts.v[k])) if shifts.v[k] >= 0 else None})
-                   for k in wrong[:10 - len(mismatches)]]
-        mismatches.extend(rec for _, rec in records)
-        counts, predictor_checks = _predictor_section(ctx, g, shifts, measured)
-        g_checks += predictor_checks
-        if "genus2" in checks_sel:
-            route = _genus2_route(ctx, g)
-            g_checks += _genus2_section(ctx, route, table)[1]
-            for k, rec in records:
-                rec["curve"] = {key: hex(int(route[key][k])) for key in "abcd"}
-                rec["count"] = int(route["count"][k])
-                rec["w"] = int(route["w"][k])
-        if "auxcurve" in checks_sel:
-            g_checks += _auxcurve_section(ctx, g, shifts.eta, counts["predicted_N"])[1]
-        checks += _tagged(g_checks, gi)
+        for k in wrong[:10 - len(mismatches)]:
+            rec = {"g": gi, "alpha": hex(k + 1), "predicted": int(predicted[k]),
+                   "measured": int(table[k + 1]), "lambda_zero": bool(shifts.lambda_zero[k]),
+                   "ell": hex(int(shifts.ell[k])), "eta": hex(int(shifts.eta[k])),
+                   "v": hex(int(shifts.v[k])) if shifts.v[k] >= 0 else None}
+            if route is not None:
+                rec.update(curve={key: hex(int(route[key][k])) for key in "abcd"},
+                           count=int(route["count"][k]), w=int(route["w"][k]))
+            mismatches.append(rec)
     checks.insert(0, compare("predictor_oracle_agreement", total_mism, "==", 0,
                              note=f"{alphas} shifts checked"))
     config = {"cmd": "verify", "m": ctx.m, "modulus": hex(ctx.modulus),
@@ -454,23 +452,24 @@ def _parser() -> argparse.ArgumentParser:
     # rebuild per call costs callers that run many commands in one process
     # time and resident memory that grows with the number of commands
     parser = argparse.ArgumentParser(
-        prog="walshforge",
+        prog="walshforge", allow_abbrev=False,
         description="Spectral, autocorrelation and curve-count verification for "
                     "Tr(a7*x^7 + sum b_i*x^(2^i+1)) on GF(2^m).")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    add = partial(sub.add_parser, allow_abbrev=False)  # each option has one spelling
 
-    p = sub.add_parser("analyze", help="one G: norms, both sigma4 routes, bounds")
+    p = add("analyze", help="one G: norms, both sigma4 routes, bounds")
     _add_common(p)
     _add_g(p)
     p.add_argument("--checks", help=f"comma list from {{{','.join(ALL_CHECKS)}}}")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scan", help="seeded corpus: spectral rows + aggregates")
+    p = add("scan", help="seeded corpus: spectral rows + aggregates")
     _add_common(p)
     _add_corpus(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("verify", help="per-shift predictor vs measured X_alpha")
+    p = add("verify", help="per-shift predictor vs measured X_alpha")
     _add_common(p)
     _add_g(p)
     _add_corpus(p)
@@ -480,7 +479,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="flip one prediction to prove mismatches are caught")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("curve", help="classify one quintic curve")
+    p = add("curve", help="classify one quintic curve")
     _add_common(p)
     p.add_argument("--curve", help='curve JSON {"a":"0x..",...} (inline or file)')
     p.set_defaults(func=cmd_curve)

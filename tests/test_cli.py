@@ -124,14 +124,14 @@ def test_verify_mismatch_without_genus2_has_no_curve(capsys):
 
 @pytest.mark.parametrize("argv,builds", [
     (("verify", "--m", "5", "--count", "2"), 2),
-    (("verify", "--m", "5", "--count", "1", "--checks", "predictor"), 1),
-    (("scan", "--m", "7", "--count", "3"), 3),
     (("analyze", "--m", "7", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x3"}'), 1),
     (("analyze", "--m", "7", "--checks", "predictor,auxcurve", "--g", '{"a7":"0x3"}'), 0),
+    (("scan", "--m", "7", "--count", "3"), 3),
+    (("verify", "--m", "5", "--count", "1", "--checks", "predictor"), 1),
 ])
 def test_one_truth_table_per_function(capsys, monkeypatch, argv, builds):
     # the spectral and table routes share one truth table, and a command that
-    # runs neither builds none
+    # runs neither builds none; scan and verify build one per function
     calls = []
     for mod in (cli, autocorr):
         if hasattr(mod, "truth_table"):
@@ -241,20 +241,18 @@ def _spectrum_moved(real):
     return corrupt
 
 
-# (route function imported into cli, corruption, failing checks in analyze and
-# in verify); verify runs no parseval check, so there the spectrum is caught
-# by the sigma4 cross-path check
+# (route function imported into cli, corruption, checks that fail in both
+# analyze and verify); analyze and verify run one pipeline, and verify shows
+# a parseval check only when it fails
 NEGATIVE_CONTROLS = [
-    ("x_alpha_all", _x_alpha_swapped, {"sigma4_cross_path"}, {"sigma4_cross_path"}),
-    ("x_alpha_all", _x_alpha_outside, {"x_alpha_trichotomy"}, {"x_alpha_trichotomy"}),
-    ("count_points_all", _count_moved, {"curve_count_membership", "curve_count_bridge"},
-     {"curve_count_membership", "curve_count_bridge"}),
-    ("classify_curves", _radius_moved, {"curve_count_membership"},
-     {"curve_count_membership"}),
-    ("enumerate_points", _fibre_dropped, {"aux_count_identity"}, {"aux_count_identity"}),
-    ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}, {"aux_n_assembly"}),
-    ("count_n123", _eta_zeroed, {"aux_n_assembly"}, {"aux_n_assembly"}),
-    ("fwht", _spectrum_moved, {"parseval"}, {"sigma4_cross_path"}),
+    ("x_alpha_all", _x_alpha_swapped, {"sigma4_cross_path"}),
+    ("x_alpha_all", _x_alpha_outside, {"x_alpha_trichotomy"}),
+    ("count_points_all", _count_moved, {"curve_count_membership", "curve_count_bridge"}),
+    ("classify_curves", _radius_moved, {"curve_count_membership"}),
+    ("enumerate_points", _fibre_dropped, {"aux_count_identity"}),
+    ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}),
+    ("count_n123", _eta_zeroed, {"aux_n_assembly"}),
+    ("fwht", _spectrum_moved, {"parseval", "sigma4_cross_path"}),
 ]
 
 
@@ -269,16 +267,16 @@ def test_negative_control_input_passes_unpatched(capsys, cmd):
 
 
 @pytest.mark.parametrize("cmd", sorted(CONTROL_ARGV))
-@pytest.mark.parametrize("route,corruption,in_analyze,in_verify", NEGATIVE_CONTROLS,
+@pytest.mark.parametrize("route,corruption,expected", NEGATIVE_CONTROLS,
                          ids=[f"{r}-{c.__name__.strip('_')}"
                               for r, c, *_ in NEGATIVE_CONTROLS])
 def test_negative_control_fails_named_check(capsys, monkeypatch, cmd, route, corruption,
-                                            in_analyze, in_verify):
+                                            expected):
     monkeypatch.setattr(cli, route, corruption(getattr(cli, route)))
     code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
     failed = _failed(doc)
     assert code == 1
-    assert (in_analyze if cmd == "analyze" else in_verify) <= failed, failed
+    assert expected <= failed, failed
     for c in doc["checks"]:  # a failing curve check names the first bad shift
         if c["name"].startswith("curve_count_") and not c["pass"]:
             assert "first at alpha=0x" in c["note"] and "X_alpha=" in c["note"], c
@@ -711,7 +709,11 @@ def test_slow_gate(capsys):
 @pytest.mark.parametrize("argv", [
     *([cmd, "--m", "5", "--format", "json"] for cmd in ("analyze", "scan", "verify", "curve")),
     ["analyze", "--m", "5", "--G", '{"a7":"0x1"}'],
-    ["scan", "--m", "5", "--trials", "2"]])
+    ["scan", "--m", "5", "--trials", "2"],
+    # a prefix of an option is not one of its spellings
+    ["scan", "--m", "5", "--cou", "2"],
+    ["verify", "--m", "5", "--count", "1", "--selftest"],
+    ["analyze", "--m", "5", "--che", "spectrum", "--g", '{"a7":"0x3"}']])
 def test_removed_spellings_exit_2(capsys, argv):
     # JSON is the one report format, and each option has one spelling
     with pytest.raises(SystemExit) as exc:
