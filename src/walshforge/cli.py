@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import lru_cache, partial
@@ -231,8 +230,8 @@ def _genus2_section(ctx, route: dict, table):
             note += (f"; first at alpha={k + 1:#x}: count={int(route['count'][k])}, "
                      f"radius={int(route['radius'][k])}, X_alpha={int(table[k + 1])}")
         checks.append(compare(name, n_bad, "==", 0, note=note))
-    w_hist = Counter(route["w"].tolist())
-    return {"w_histogram": {str(k): v for k, v in sorted(w_hist.items())}}, checks
+    w_hist = np.bincount(route["w"])
+    return {"w_histogram": {str(k): int(v) for k, v in enumerate(w_hist) if v}}, checks
 
 
 def _auxcurve_section(ctx, g, eta, predicted_n: int | None):
@@ -330,8 +329,9 @@ def cmd_verify(args) -> Report:
     ctx = _build_ctx(args)
     checks_sel = _resolve_checks(args, args.m)
     if args.checks is not None and {"spectrum", "bounds"} & set(checks_sel):
-        raise UsageError("verify does not run the spectrum or bounds checks; "
-                         "use analyze --checks for them")
+        raise UsageError("verify always runs the spectrum, autocorr and predictor routes, "
+                         "and --checks adds genus2 and auxcurve; "
+                         "analyze --checks shows the spectrum and bounds checks")
     g0 = _load_g(args, ctx)
     corpus = [g0] if g0 is not None else _corpus(args, ctx)
     routes = ("spectrum", "autocorr", "predictor",

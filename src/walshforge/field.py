@@ -3,11 +3,11 @@
 An element is an integer in [0, 2^m) read as a polynomial over GF(2) in the
 power basis, reduced modulo an explicit degree-m irreducible ``modulus``
 bitmask.  Everything here is deterministic and pure; a :class:`FieldCtx` is
-immutable after construction, apart from caches of values fixed by
-(m, modulus), and safe to share across workers.  Its tables are read-only
-arrays, so no caller can corrupt a shared context.  The CLI shares one
-context per process: every command at the same (m, modulus) reuses its
-tables, and a command at another field replaces it.
+immutable after construction, apart from its one store (``table``) of
+arrays fixed by (m, modulus), and safe to share across workers.  Its tables
+are read-only arrays, so no caller can corrupt a shared context.  The CLI
+shares one context per process: every command at the same (m, modulus)
+reuses its tables, and a command at another field replaces it.
 
 Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
@@ -22,31 +22,32 @@ no zero mask.  Every scalar-coefficient monomial of a per-shift route is a
 ``shift_term``; ``vterm`` takes arrays of other elements.  Tests cross-check
 the tables against the shift-xor product ``mul_raw``.
 
-A map that is GF(2)-linear in c is read from two tables built once per
-context from its m basis images: map(c) = lo[c & (2^k - 1)] ^ hi[c >> k],
-k = ceil(m/2), at most 2 x 1024 int64 entries at m = 20.  ``vsquare`` is
-x -> x^2 read this way.  For odd m, ``vsolve_quartic`` finds the trace-0
-root of v^4 + v = c in closed form, v = sum of c^(4^i) over odd i in
-[1, m-2], from the tables of that map, and checks each root with v^4 read
-from the separate tables of x -> x^4.  The reads go in ``BATCH`` blocks, so
-no whole-field index array is made and none is cached.
+A map that is GF(2)-linear in c is read from two tables built from its m
+basis images: map(c) = lo[c & (2^k - 1)] ^ hi[c >> k], k = ceil(m/2), at
+most 2 x 1024 int64 entries at m = 20.  ``vsquare`` is x -> x^2 read this
+way.  For odd m, ``vsolve_quartic`` finds the trace-0 root of v^4 + v = c in
+closed form, v = sum of c^(4^i) over odd i in [1, m-2], from the tables of
+that map, and checks each root with v^4 read from the separate tables of
+x -> x^4.  The reads go in ``BATCH`` blocks, so no whole-field index array
+is made.
 
 Tr is GF(2)-linear, and it is read by two rules.  ``trace_bits(vals)`` is
 Tr of every element of an array: the parity of popcount(v & trace_mask).
 ``trace_row(terms)`` is Tr(sum of coef * x^e) for every x, with no gather:
 for each c one mask ``dual(c)`` has Tr(c*y) = parity(dual(c) & y) for every
-y, and ``dual`` is linear in c too, the XOR of the column masks dual(x^j)
-over the set bits j of c.  So the row is the parity of XOR(dual(coef) & x^e):
-T ANDs and T-1 XORs over contiguous uint32 power arrays x^e, then one
-popcount.  Truth tables, the auxiliary curve's S7 sum and the one-curve
-point count are such rows.  Each power array is built the first time its
-exponent is used and stays cached on the context (4 MB per exponent at
-m = 20).  ``trace_bits(monomial_table(...))`` is its test oracle.
+y, and ``dual`` is linear in c too, read from the tables of the map that
+sends x^j to its column mask dual(x^j), for an int or an array.  So the row
+is the parity of XOR(dual(coef) & x^e): T ANDs and T-1 XORs over contiguous
+uint32 power arrays x^e, then one popcount.  Truth tables, the auxiliary
+curve's S7 sum and the one-curve point count are such rows.
+``trace_bits(monomial_table(...))`` is its test oracle.
 
-Other modules keep tables that depend on the field alone on the context
-through ``table(name, build)``: built on first use, read-only, and shared by
-every later caller, as genus2 does with its radical and trace-sequence
-tables.
+One store, ``table(name, build)``, keeps every array a context derives
+from the field alone, built on first use, read-only and kept for the life of
+the context: the uint32 power arrays ``"x^e"`` of ``trace_row``, one per
+exponent used (4 MB each at m = 20); the (lo, hi) tables ``"square"``,
+``"fourth"``, ``"quartic"`` and ``"dual"`` of the linear maps; genus2's
+``"genus2.radicals"`` and ``"genus2.sequences"``; not the log tables.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -55,7 +56,7 @@ count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -163,6 +164,16 @@ def default_modulus(m: int) -> int:
 
 # ---------------------------------------------------------------------------
 
+# name -> the basis images map(x^j), j < m, of each GF(2)-linear map FieldCtx reads
+_LINEAR_MAPS = {
+    "square": lambda ctx: ctx._power_images(2),
+    "fourth": lambda ctx: ctx._power_images(4),
+    "quartic": lambda ctx: np.bitwise_xor.reduce(  # c -> sum of c^(4^i), odd i in [1, m-2]
+        [ctx._power_images(4 ** i) for i in range(1, ctx.m - 1, 2)]),
+    "dual": lambda ctx: ctx._dual_cols,
+}
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a context's tables are shared by every caller."""
     a.setflags(write=False)
@@ -203,7 +214,6 @@ class FieldCtx:
         self._dual_cols = [sum(t[i + j] << i for i in range(m)) for j in range(m)]
         self._trace_mask = self._dual_cols[0]  # dual(1): trace(x) = parity(x & mask)
         self._build_tables()
-        self._powers: dict[int, np.ndarray] = {}  # e -> uint32 x^e for x in [0, q)
         self._tables: dict[str, tuple] = {}  # name -> read-only arrays, see table()
 
     def __repr__(self):
@@ -324,9 +334,9 @@ class FieldCtx:
 
     def table(self, name: str, build) -> tuple:
         """The arrays ``build(self)`` returns, made read-only, built the first
-        time ``name`` is asked for and kept on the context: the tables another
-        module derives from the field alone (genus2's radicals and trace
-        sequences), built once however many functions the context serves."""
+        time ``name`` is asked for and kept on the context: the one cache of
+        arrays derived from the field alone (the module docstring lists its
+        entries), built once however many functions the context serves."""
         arrays = self._tables.get(name)
         if arrays is None:
             arrays = self._tables[name] = tuple(_frozen(a) for a in build(self))
@@ -414,23 +424,26 @@ class FieldCtx:
             t = np.zeros(1, dtype=np.int64)
             for image in part:  # t[i] is the XOR of the images of the set bits of i
                 t = np.concatenate([t, t ^ image])
-            tables.append(_frozen(t))
+            tables.append(t)
         return tables[0], tables[1]
 
-    def _linear(self, tables, x) -> np.ndarray:
-        """The linear map of ``tables`` at every element of x, two table reads
-        each; an array of more than ``BATCH`` elements is read in blocks, so no
-        whole-array index temporary adds to peak memory."""
+    def _linear(self, name: str, x):
+        """The linear map ``name`` at an int x (an int) or at every element of an
+        array x, two reads from its ``table`` entry ``name``; more than ``BATCH``
+        elements are read in blocks, so no whole-array index temporary is made."""
+        lo, hi = self.table(name, lambda ctx: ctx._linear_tables(_LINEAR_MAPS[name](ctx)))
+        k = len(lo).bit_length() - 1
+        if isinstance(x, (int, np.integer)):
+            return int(lo[x & (len(lo) - 1)] ^ hi[x >> k])
         x = np.asarray(x, dtype=np.int64)
         if x.size > BATCH:
             out = np.empty(x.shape, dtype=np.int64)
             flat_out, flat_x = out.reshape(-1), x.reshape(-1)  # a 1-D strided x stays a view
             for s in range(0, len(flat_x), BATCH):
-                flat_out[s:s + BATCH] = self._linear(tables, flat_x[s:s + BATCH])
+                flat_out[s:s + BATCH] = self._linear(name, flat_x[s:s + BATCH])
             return out
-        lo, hi = tables
         out = lo[x & (len(lo) - 1)]
-        out ^= hi[x >> (len(lo).bit_length() - 1)]
+        out ^= hi[x >> k]
         return out
 
     def _power_images(self, e: int) -> np.ndarray:
@@ -438,24 +451,10 @@ class FieldCtx:
         for e a power of 2."""
         return self.vterm(1, np.int64(1) << np.arange(self.m), e)
 
-    @cached_property
-    def _square_map(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._linear_tables(self._power_images(2))
-
-    @cached_property
-    def _fourth_map(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._linear_tables(self._power_images(4))
-
-    @cached_property
-    def _quartic_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tables of c -> sum of c^(4^i) over odd i in [1, m-2]."""
-        return self._linear_tables(np.bitwise_xor.reduce(
-            [self._power_images(4 ** i) for i in range(1, self.m - 1, 2)]))
-
     def vsquare(self, x) -> np.ndarray:
         """x^2 for every element of x; squaring is GF(2)-linear, so this is two
         table reads per element and no log gather."""
-        return self._linear(self._square_map, x)
+        return self._linear("square", x)
 
     def vsolve_quartic(self, c) -> tuple[np.ndarray, np.ndarray]:
         """(v, has_root): v^4 + v = c where Tr(c) = 0, and v = 0 elsewhere.  For odd
@@ -467,11 +466,11 @@ class FieldCtx:
             raise ValueError("quartic solver requires odd m")
         c = np.asarray(c, dtype=np.int64)
         has_root = self.trace_bits(c) == 0
-        v = self._linear(self._quartic_map, c)
+        v = self._linear("quartic", c)
         v *= has_root
         flat_c, flat_v, flat_root = c.reshape(-1), v.reshape(-1), has_root.reshape(-1)
         for s in range(0, len(flat_v), BATCH):
-            check = self._linear(self._fourth_map, flat_v[s:s + BATCH])
+            check = self._linear("fourth", flat_v[s:s + BATCH])
             check ^= flat_v[s:s + BATCH]
             lost = (check != flat_c[s:s + BATCH]) & flat_root[s:s + BATCH]
             if np.count_nonzero(lost):
@@ -486,29 +485,25 @@ class FieldCtx:
             raise ValueError("monomial exponent must be >= 1")
         return self.vterm(coef, np.arange(self.q), e)
 
-    def dual(self, c: int) -> int:
-        """The mask d with Tr(c*y) = parity(d & y) for every y; dual(1) is the
-        trace mask.  Linear in c: the XOR of dual(x^j) over the set bits j."""
-        d = 0
-        for j, col in enumerate(self._dual_cols):
-            if c >> j & 1:
-                d ^= col
-        return d
+    def dual(self, c):
+        """The mask d with Tr(c*y) = parity(d & y) for every y, for an int c (an
+        int) or for every element of an array c; dual(1) is the trace mask.
+        Linear in c: two reads from the tables of the map x^j -> dual(x^j)."""
+        return self._linear("dual", c)
 
     def _power(self, e: int) -> np.ndarray:
-        """uint32 x^e for x in [0, q)  (e >= 1), built the first time e is used,
+        """uint32 x^e for x in [0, q)  (e >= 1), the ``table`` entry "x^e", built
         in blocks, so that no whole-field index array adds to peak memory."""
-        pw = self._powers.get(e)
-        if pw is None:
-            n = self.q - 1
-            pw = np.empty(self.q, dtype=np.uint32)
-            for lo in range(0, self.q, BATCH):
-                idx = self._log[lo:lo + BATCH] * (e % n)
+        def build(ctx):
+            n = ctx.q - 1
+            pw = np.empty(ctx.q, dtype=np.uint32)
+            for lo in range(0, ctx.q, BATCH):
+                idx = ctx._log[lo:lo + BATCH] * (e % n)
                 idx %= n
-                pw[lo:lo + BATCH] = self._exp[idx]
+                pw[lo:lo + BATCH] = ctx._exp[idx]
             pw[0] = 0  # 0^e = 0; log(0) is a poison value
-            pw = self._powers[e] = _frozen(pw)
-        return pw
+            return (pw,)
+        return self.table(f"x^{e}", build)[0]
 
     def trace_row(self, terms) -> np.ndarray:
         """uint8 bits Tr(sum of coef * x^e) over all x in [0, q), for (coef, e)

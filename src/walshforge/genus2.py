@@ -33,10 +33,13 @@ kept by leading bit, one ``min(v, v ^ slot)`` per step.  Like ``e_poly``
 ``classify_curves`` refuses a = 0.
 ``count_points_all`` still counts every x, but 64 x to a uint64 word: over
 x = g^i the trace of each monomial is a cyclic shift of a decimated
-m-sequence Tr(g^n), packed once per context, so a curve's row of traces is
-an XOR of three packed word slices, counted by popcount.  Its starts are
-read from the raw (a, b, c, d), with no normal form: it never calls the
-radical classifier, so the count stays independent of it.
+m-sequence Tr(g^n), packed once per context with the first word of every
+coefficient's row of each term, so a curve's row of traces is an XOR of
+three packed word slices, counted by popcount.  Its starts are read at the
+raw (a, b, c), with no normal form: it never calls the radical classifier,
+so the count stays independent of it.  Both tables are entries of the
+context's one store, ``FieldCtx.table``: ``"genus2.radicals"`` is (w, dual,
+q0) and ``"genus2.sequences"`` is (tables, starts).
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def _radical_table(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = np.bincount(k, minlength=ctx.q)  # curve k is (1, u = k, 0)
     i = np.arange(len(k)) - (np.cumsum(w) - w)[k]  # v's place in its curve's basis
     dual = np.zeros((4, ctx.q), dtype=np.uint32)
-    dual[i, k] = ctx._linear(ctx._linear_tables(ctx._dual_cols), v)
+    dual[i, k] = ctx.dual(v)
     q0 = np.zeros((4, ctx.q), dtype=np.uint8)
     q0[i, k] = ctx.trace_bits(ctx.vterm(1, v, 5) ^ ctx.vterm(k, v, 3))
     return w.astype(np.uint8), dual, q0
@@ -250,13 +253,15 @@ def classify_curves(ctx: FieldCtx, a: np.ndarray, b: np.ndarray,
 _TERMS = (5, 3, 1)  # the exponents of Q's terms, in the order of the sequence tables
 
 
-def _sequence_tables(ctx: FieldCtx) -> tuple[np.ndarray]:
-    """The packed offset tables of :func:`count_points_all`, flat: sequence 0 is
-    zero, then for each e in ``_TERMS`` the gcd(e, q - 1) sequences
-    Tr(g^(r + e*i)), r < gcd(e, q - 1), in order of r.  Word j of offset
-    table o of a sequence holds its bits 64*j + o .. 64*j + o + 63; each
-    sequence has 64 tables of 2*ceil((q-1)/64) - 1 words (8.4 MB in all at
-    m = 17, where every gcd is 1)."""
+def _sequence_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, starts) of :func:`count_points_all`.  ``tables`` is the packed
+    offset tables, flat: sequence 0 is zero, then for each e in ``_TERMS`` the
+    k = gcd(e, q - 1) sequences Tr(g^(r + e*i)), r < k.  Word j of offset table
+    o of a sequence holds its bits 64*j + o .. 64*j + o + 63; each sequence has
+    64 tables of 2*ceil((q-1)/64) - 1 words (8.4 MB in all at m = 17, where
+    every gcd is 1).  starts[t, coef] (int32) is the first word of the row of
+    Tr(coef * g^(e*i)), e the t-th of ``_TERMS``: with l = log(coef), sequence
+    r = l mod k from the shift with e*shift = l - r (mod q - 1); 0 reads zero."""
     n = ctx.q - 1
     width = 2 * -(-n // 64) - 1  # words in one offset table: room for a shift of up to n - 1
     i = np.arange(64 * (width + 1), dtype=np.int64)
@@ -264,8 +269,17 @@ def _sequence_tables(ctx: FieldCtx) -> tuple[np.ndarray]:
     seqs = [np.zeros(len(i), dtype=np.uint8)]
     for e in _TERMS:
         seqs += [tr[(r + e * i) % n] for r in range(math.gcd(e, n))]
-    return (pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
-            .reshape(-1),)
+    tables = pack_bits(sliding_window_view(np.stack(seqs), 64 * width, axis=-1)[:, :64])
+    del i, tr, seqs  # the starts need none of them: free them first
+    logs = ctx.vlog(np.arange(1, ctx.q))
+    starts = np.zeros((len(_TERMS), ctx.q), dtype=np.int32)
+    first = 1  # the first sequence of the term
+    for t, e in enumerate(_TERMS):
+        k = math.gcd(e, n)
+        shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
+        starts[t, 1:] = ((first + logs % k) * 64 + shift % 64) * width + shift // 64
+        first += k
+    return tables.reshape(-1), starts
 
 
 def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -273,37 +287,27 @@ def count_points_all(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """:func:`count_points` for the curves (a[k], b[k], c[k], d[k]) at once,
     by direct enumeration of every x.
 
-    Write x = g^i (i < q - 1) for the table generator g.  With l = log(coef)
-    and k = gcd(e, q - 1), Tr(coef * x^e) = Tr(g^(l + e*i)) is the sequence
-    u[i] = Tr(g^(r + e*i)), r = l mod k, read from a shift with
-    e*shift = l - r (mod q - 1).  The 64 windows of each u starting at bits
-    0 .. 63 are packed once per context (:func:`_sequence_tables`), so the
-    row of a term over all x != 0 is one word slice, and a curve's row is
+    Write x = g^i (i < q - 1) for the table generator g.  Tr(coef * x^e) over
+    every i is a shift of a decimated m-sequence, and the 64 windows of each
+    such sequence starting at bits 0 .. 63 are packed once per context, with
+    the first word of every coefficient's row (:func:`_sequence_tables`).  So
+    the row of a term over all x != 0 is one word slice, and a curve's row is
     the XOR of three slices.  The rows are gathered for blocks of curves of
     at most ``BATCH`` words and counted by popcount.
     """
     n = ctx.q - 1
     n_words = -(-n // 64)
-    width = 2 * n_words - 1
-    (tables,) = ctx.table("genus2.sequences", _sequence_tables)
-    starts = []  # first word of each curve's a, b and c row in the flat tables
-    first = 1  # the first sequence of the term
-    for coef, e in zip((a, b, c), _TERMS):
-        k = math.gcd(e, n)
-        logs = ctx.vlog(np.where(coef == 0, 1, coef))
-        shift = (logs // k) * pow(e // k, -1, n // k) % (n // k)
-        seq = np.where(coef == 0, 0, first + logs % k)
-        starts.append((seq * 64 + shift % 64) * width + shift // 64)
-        first += k
+    tables, starts = ctx.table("genus2.sequences", _sequence_tables)
     # slices[s] is the n_words-word slice starting at word s of the flat tables
     slices = sliding_window_view(tables, n_words)
     last = np.uint64((1 << (n % 64)) - 1)  # bits past i = q - 2 are padding
     ones = np.empty(len(a), dtype=np.int64)  # x != 0 with Tr(a x^5 + b x^3 + c x) = 1
+    sa, sb, sc = starts[0, a], starts[1, b], starts[2, c]  # each curve's first words
     step = max(1, BATCH // n_words)
     for lo in range(0, len(a), step):
-        rows = slices[starts[0][lo:lo + step]]
-        for s in starts[1:]:
-            rows ^= slices[s[lo:lo + step]]
+        rows = slices[sa[lo:lo + step]]
+        rows ^= slices[sb[lo:lo + step]]
+        rows ^= slices[sc[lo:lo + step]]
         rows[:, -1] &= last
         ones[lo:lo + step] = popcount(rows)
     # x = 0 contributes Tr(d); a trace-1 d flips every other x

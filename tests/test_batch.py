@@ -149,10 +149,11 @@ def test_vsolve_quartic_exhaustive(m):
 
 def test_vsolve_quartic_names_the_first_lost_root():
     ctx = FieldCtx(5)
-    lo, hi = ctx._quartic_map  # at m = 5, lo is read at the 3 low bits of c
+    ctx.vsolve_quartic(0)  # builds the tables of the root map
+    lo, hi = ctx._tables["quartic"]  # at m = 5, lo is read at the 3 low bits of c
     lo = lo.copy()
     lo[0b100] ^= 0b10  # x is outside GF(4), so v + x is never a root again
-    ctx._quartic_map = lo, hi
+    ctx._tables["quartic"] = lo, hi
     first = min(c for c in range(ctx.q) if ctx.trace(c) == 0 and c & 0b111 == 0b100)
     with pytest.raises(AssertionError, match=rf"c={first:#x}$"):
         ctx.vsolve_quartic(np.arange(ctx.q))

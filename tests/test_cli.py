@@ -314,10 +314,12 @@ def test_corrupted_sequence_table_fails_bridge(capsys, monkeypatch, cmd):
     ctx = cli._field(7, default_modulus(7))
     a = reduce_difference_all(ctx, tracepoly_from_json(CONTROL_G))[0]
     shift = int(ctx.vlog(a[:1])[0]) * pow(5, -1, ctx.q - 1) % (ctx.q - 1)
-    (tables,) = ctx.table("genus2.sequences", genus2._sequence_tables)
+    tables, starts = ctx.table("genus2.sequences", genus2._sequence_tables)
+    word = (64 + shift % 64) * 3 + shift // 64
+    assert starts[0, a[0]] == word  # the start the count reads
     tables = tables.copy()
-    tables[(64 + shift % 64) * 3 + shift // 64] ^= np.uint64(1)
-    monkeypatch.setitem(ctx._tables, "genus2.sequences", (tables,))
+    tables[word] ^= np.uint64(1)
+    monkeypatch.setitem(ctx._tables, "genus2.sequences", (tables, starts))
     code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
     assert code == 1 and "curve_count_bridge" in _failed(doc)
     assert "first at alpha=0x1:" in _curve_check(doc, "curve_count_bridge")["note"]
@@ -599,7 +601,7 @@ def test_curve_a_zero_exits_2(capsys):
     ["analyze", "--m", "5", "--checks", " ", "--g", '{"a7":"0x1"}'],
     ["verify", "--m", "5", "--checks", ",", "--count", "1"],
     ["verify", "--m", "5", "--checks", " ", "--count", "1"],
-    # verify runs no spectrum or bounds check, so naming one would pass vacuously too
+    # verify shows no spectrum or bounds check, so naming one would pass vacuously too
     ["verify", "--m", "5", "--checks", "bounds", "--count", "1"],
     ["verify", "--m", "5", "--checks", "spectrum,genus2", "--count", "1"],
 ])
@@ -608,6 +610,10 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "verify" and argv[4] in ("bounds", "spectrum,genus2"):
+        assert err == ("error: verify always runs the spectrum, autocorr and predictor "
+                       "routes, and --checks adds genus2 and auxcurve; analyze --checks "
+                       "shows the spectrum and bounds checks\n")
 
 
 @pytest.mark.parametrize("cmd", ["scan", "verify"])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import walshforge.cli as cli
 import walshforge.genus2 as genus2
-from walshforge.field import FieldCtx, default_modulus, is_irreducible
+from walshforge.field import _LINEAR_MAPS, FieldCtx, default_modulus, is_irreducible
 
 # second irreducible quintic besides the default 0x25, for independence tests
 ALT_MOD_5 = 0x29
@@ -234,14 +235,18 @@ def test_dual_mask_gives_the_trace_of_every_product(case):
     y = np.arange(ctx.q, dtype=np.int64)
     parity = np.bitwise_count(y & d) & 1
     np.testing.assert_array_equal(parity, ctx.trace_bits(ctx.monomial_table(c, 1)))
+    # an array of elements gives the scalar mask of each
+    assert ctx.dual(y).tolist() == [ctx.dual(x) for x in range(ctx.q)]
 
 
 def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
     ctx = FieldCtx(15)
     terms = [(0x1f3, 7), (3, 2), (0, 3), (9, 5)]  # a zero coef builds no power array
     ctx.trace_row(terms)  # warm: x^7, x^2 and x^5 are built once, here
-    assert sorted(ctx._powers) == [2, 5, 7]
-    for pw in ctx._powers.values():
+    powers = ["x^2", "x^5", "x^7"]
+    assert sorted(ctx._tables) == ["dual", *powers]  # and the tables of dual
+    for name in powers:
+        (pw,) = ctx._tables[name]
         assert pw.dtype == np.uint32 and pw.shape == (ctx.q,)
     tracemalloc.start()
     try:
@@ -251,7 +256,7 @@ def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
         tracemalloc.stop()
     # an accumulator and a reused temporary (4q bytes each), then the uint8 row
     assert peak <= 10 * ctx.q
-    assert sorted(ctx._powers) == [2, 5, 7]
+    assert sorted(ctx._tables) == ["dual", *powers]
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -282,7 +287,7 @@ def test_even_degree_fields_supported():
     assert ctx.trace(1) == 0  # m even
 
 
-def test_tables_are_read_only():
+def test_tables_are_read_only(capsys):
     # the CLI shares one context between commands: no caller may write into it
     ctx = FieldCtx(5)
     g2_tables = (*ctx.table("genus2.radicals", genus2._radical_table),
@@ -291,3 +296,21 @@ def test_tables_are_read_only():
     for table in (ctx._exp, ctx._log, ctx._power(3), *g2_tables):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
+    # every array a verify derives from the field sits in the one store,
+    # ``table``: power arrays, linear maps, radicals, sequences and starts
+    cli._field.cache_clear()  # no entry left by an earlier command
+    assert cli.main(["verify", "--m", "9", "--count", "2", "--s", "2"]) == 0
+    capsys.readouterr()
+    ctx = cli._field(9, default_modulus(9))
+    assert {"x^7", "dual", "square", "fourth", "quartic",
+            "genus2.radicals", "genus2.sequences"} <= set(ctx._tables)
+    assert all(name.startswith(("x^", "genus2.")) or name in _LINEAR_MAPS
+               for name in ctx._tables)
+    assert len(ctx._tables["genus2.sequences"]) == 2  # tables and starts
+    for arrays in ctx._tables.values():
+        for table in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[1] = 0
+    # no other array cache: the log tables are built with the context
+    caches = {k for k, v in vars(ctx).items() if isinstance(v, (np.ndarray, dict, tuple))}
+    assert caches == {"_exp", "_log", "_tables"}
