@@ -31,7 +31,7 @@ from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from .corpus import curve_corpus, sample_curve, sample_tracepoly, standard_corpus
 from .report import Check, Report, compare, slack_bound
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "FieldCtx", "default_modulus",

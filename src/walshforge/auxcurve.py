@@ -71,7 +71,7 @@ def enumerate_points(ctx: FieldCtx, gamma: int) -> AuxCurvePoints:
 
 
 def gamma_of(ctx: FieldCtx, g: TracePoly) -> int:
-    return ctx.kth_root(ctx.inv(g.a7), 3)
+    return ctx.pow(g.a7, (-1, 3))
 
 
 def count_n123(ctx: FieldCtx, g: TracePoly, pts: AuxCurvePoints, eta: np.ndarray) -> dict:

@@ -76,17 +76,17 @@ def reduce_difference(ctx: FieldCtx, g: TracePoly, alpha: int) -> QuinticCurve:
         raise ValueError("alpha must be nonzero")
     a7 = g.a7
     a = ctx.mul(a7, ctx.pow(alpha, 2))
-    b = ctx.mul(a7, ctx.pow(alpha, 4)) ^ ctx.sqrt(ctx.mul(a7, alpha))
+    b = ctx.mul(a7, ctx.pow(alpha, 4)) ^ ctx.pow(ctx.mul(a7, alpha), (1, 2))
     c = (ctx.mul(a7, ctx.pow(alpha, 6))
-         ^ ctx.mul(ctx.frac_pow(a7, 1, 4), ctx.frac_pow(alpha, 3, 4))
-         ^ ctx.mul(ctx.frac_pow(a7, 1, 2), ctx.frac_pow(alpha, 5, 2)))
+         ^ ctx.mul(ctx.pow(a7, (1, 4)), ctx.pow(alpha, (3, 4)))
+         ^ ctx.mul(ctx.pow(a7, (1, 2)), ctx.pow(alpha, (5, 2))))
     csum = csum_alt = 0
     for i, bi in enumerate(g.b):
         if bi:
-            csum ^= ctx.frac_pow(ctx.mul(bi, alpha), 1, 1 << i)
+            csum ^= ctx.pow(ctx.mul(bi, alpha), (1, 1 << i))
             csum ^= ctx.mul(bi, ctx.pow(alpha, 1 << i))
             term = ctx.mul(bi, ctx.pow(alpha, 1 + (1 << i)))
-            csum_alt ^= ctx.frac_pow(term, 1, 1 << i) ^ term
+            csum_alt ^= ctx.pow(term, (1, 1 << i)) ^ term
     if ctx.mul(csum, alpha) != csum_alt:
         raise AssertionError(
             f"c-term spellings disagree at alpha={alpha:#x}: "
@@ -99,15 +99,15 @@ def reduce_difference_all(ctx: FieldCtx, g: TracePoly) -> tuple[np.ndarray, ...]
     (entry k is alpha = k + 1), with the same two c-term spellings compared."""
     a7 = g.a7
     a = ctx.shift_term(a7, 2)
-    b = ctx.shift_term(a7, 4) ^ ctx.shift_term(ctx.sqrt(a7), (1, 2))
+    b = ctx.shift_term(a7, 4) ^ ctx.shift_term(ctx.pow(a7, (1, 2)), (1, 2))
     c = (ctx.shift_term(a7, 6)
-         ^ ctx.shift_term(ctx.frac_pow(a7, 1, 4), (3, 4))
-         ^ ctx.shift_term(ctx.frac_pow(a7, 1, 2), (5, 2)))
+         ^ ctx.shift_term(ctx.pow(a7, (1, 4)), (3, 4))
+         ^ ctx.shift_term(ctx.pow(a7, (1, 2)), (5, 2)))
     d = ctx.shift_term(a7, 7)
     csum = csum_alt = np.zeros(ctx.q - 1, dtype=np.int64)
     for i, bi in enumerate(g.b):
         if bi:
-            csum = csum ^ ctx.shift_term(ctx.frac_pow(bi, 1, 1 << i), (1, 1 << i))
+            csum = csum ^ ctx.shift_term(ctx.pow(bi, (1, 1 << i)), (1, 1 << i))
             csum ^= ctx.shift_term(bi, 1 << i)
             term = ctx.shift_term(bi, 1 + (1 << i))
             csum_alt = csum_alt ^ ctx.vterm(1, term, (1, 1 << i)) ^ term

@@ -28,11 +28,15 @@ integer arithmetic):
     amplitude upper      linf <= 6*sqrt(q)   (Weil bound on the curve count)
     count deviations     |N0 - q/2| <= 3*sqrt(q)+1,
                          |N - q/8| <= 23*2^(s-1)*sqrt(q)  (hard for q >= 32)
+
+The sigma deviation and both amplitude-lower clauses hold at odd m only, and
+are informational at even m: there the family has bent members (linf^2 = q,
+sigma4 = q^2), which meet the nonlinearity bound 2^(m-1) - 2^(m/2-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,12 +67,12 @@ def eta_of_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> int:
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     e = 1
-    e ^= ctx.mul(ctx.frac_pow(g.a7, 1, 4), ctx.frac_pow(alpha, 7, 4))
-    e ^= ctx.mul(ctx.frac_pow(g.a7, 1, 2), ctx.frac_pow(alpha, 7, 2))
+    e ^= ctx.mul(ctx.pow(g.a7, (1, 4)), ctx.pow(alpha, (7, 4)))
+    e ^= ctx.mul(ctx.pow(g.a7, (1, 2)), ctx.pow(alpha, (7, 2)))
     for i, bi in enumerate(g.b):
         if bi:
             t = ctx.mul(bi, ctx.pow(alpha, 1 + (1 << i)))
-            e ^= ctx.frac_pow(t, 1, 1 << i) ^ t
+            e ^= ctx.pow(t, (1, 1 << i)) ^ t
     return e
 
 
@@ -79,10 +83,10 @@ def classify_alpha(ctx: FieldCtx, g: TracePoly, alpha: int) -> AlphaClassificati
         raise ValueError("alpha must be nonzero")
     q = ctx.q
     eta = eta_of_alpha(ctx, g, alpha)
-    if ctx.pow(alpha, 7) == ctx.inv(g.a7):
+    if ctx.pow(alpha, 7) == ctx.pow(g.a7, -1):
         return AlphaClassification(alpha=alpha, lambda_zero=True, ell=1,
                                    trace_ell=1, eta=eta, v=None, predicted=2 * q)
-    ell = ctx.kth_root(ctx.mul(ctx.inv(g.a7), ctx.pow(alpha, -7)), 3)
+    ell = ctx.pow(ctx.mul(ctx.pow(g.a7, -1), ctx.pow(alpha, -7)), (1, 3))
     if ctx.trace(ell) == 1:
         return AlphaClassification(alpha=alpha, lambda_zero=False, ell=ell,
                                    trace_ell=1, eta=eta, v=None, predicted=2 * q)
@@ -116,12 +120,12 @@ def eta_all(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
     """:func:`eta_of_alpha` for every alpha = 1..q-1 (entry k is alpha = k + 1).
     Computed once per G: :func:`classify_all` keeps it as ``eta``, and the
     auxiliary curve's ``count_n123`` reads it at alpha = x^(-3)."""
-    e = ctx.shift_term(ctx.frac_pow(g.a7, 1, 4), (7, 4))
+    e = ctx.shift_term(ctx.pow(g.a7, (1, 4)), (7, 4))
     e ^= 1
-    e ^= ctx.shift_term(ctx.frac_pow(g.a7, 1, 2), (7, 2))
+    e ^= ctx.shift_term(ctx.pow(g.a7, (1, 2)), (7, 2))
     for i, bi in enumerate(g.b):
         if bi:  # t^(2^-i) = b_i^(2^-i) * alpha^((1+2^i)/2^i)
-            e ^= ctx.shift_term(ctx.frac_pow(bi, 1, 1 << i), (1 + (1 << i), 1 << i))
+            e ^= ctx.shift_term(ctx.pow(bi, (1, 1 << i)), (1 + (1 << i), 1 << i))
             e ^= ctx.shift_term(bi, 1 + (1 << i))
     return e
 
@@ -132,11 +136,10 @@ def classify_all(ctx: FieldCtx, g: TracePoly) -> ShiftArrays:
         raise ValueError("trichotomy requires odd m")
     q = ctx.q
     eta = eta_all(ctx, g)
-    inv_a7 = ctx.inv(g.a7)
-    lambda_zero = ctx.shift_term(1, 7) == inv_a7
+    lambda_zero = ctx.shift_term(1, 7) == ctx.pow(g.a7, -1)
     # on the lambda_zero fibre this is the cube root of 1, so ell = 1 there as
     # well, and Tr(1) = 1 (odd m) sends those shifts to the 2q branch below
-    ell = ctx.shift_term(ctx.kth_root(inv_a7, 3), (-7, 3))
+    ell = ctx.shift_term(ctx.pow(g.a7, (-1, 3)), (-7, 3))
     v, split = ctx.vsolve_quartic(ell)  # split: Tr(ell) = 0
     t1 = ctx.trace_bits(ctx.vterm(eta, v, 3))
     t2 = ctx.trace_bits(ctx.vterm(eta, ctx.vsquare(v) ^ v, 1))
@@ -168,27 +171,33 @@ def count_n0_n(ctx: FieldCtx, g: TracePoly, shifts: ShiftArrays) -> dict:
 # ---------------------------------------------------------------------------
 # bound checkers over spectral quantities
 
+EVEN_M_NOTE = "informational at even m, where the family has bent members"
+
+
+def _odd_m_bound(ctx: FieldCtx, check: Check) -> Check:  # see the module docstring
+    return check if ctx.m % 2 else replace(check, hard=False, note=EVEN_M_NOTE)
+
+
 def check_sigma_bound(ctx: FieldCtx, g: TracePoly, sigma4: int) -> Check:
     """4*(sigma4 - 3q^2)^2 <= 185^2 * 2^(2s) * q^3, exact integers."""
     q = ctx.q
-    return compare("sigma_deviation_bound", 4 * (sigma4 - 3 * q * q) ** 2, "<=",
-                   185 * 185 * (1 << (2 * g.s)) * q ** 3)
+    return _odd_m_bound(ctx, compare("sigma_deviation_bound", 4 * (sigma4 - 3 * q * q) ** 2,
+                                     "<=", 185 * 185 * (1 << (2 * g.s)) * q ** 3))
 
 
 def check_linf_lower(ctx: FieldCtx, g: TracePoly, linf_value: int) -> list[Check]:
     """linf^2 >= 2q (hard inside the m <= 11+2s window, informational outside);
     refined clause linf >= sqrt(2q) + 2^ceil(m/3) once m >= 15+2s."""
     q = ctx.q
-    in_window = ctx.m <= 11 + 2 * g.s
-    checks = [compare("spectral_lower_bound", linf_value ** 2, ">=", 2 * q,
-                      hard=in_window,
-                      note="" if in_window else f"outside stated window m<=11+2s={11 + 2 * g.s}")]
+    window = 11 + 2 * g.s
+    checks = [compare("spectral_lower_bound", linf_value ** 2, ">=", 2 * q, hard=ctx.m <= window,
+                      note="" if ctx.m <= window else f"outside stated window m<=11+2s={window}")]
     if ctx.m >= 15 + 2 * g.s:
         step = 1 << (-(-ctx.m // 3))
         ok = linf_value > step and (linf_value - step) ** 2 >= 2 * q
         checks.append(Check(name="spectral_lower_bound_refined", lhs=linf_value,
                             rhs=f"sqrt({2 * q})+{step}", relation=">=", passed=ok))
-    return checks
+    return [_odd_m_bound(ctx, c) for c in checks]
 
 
 def check_linf_upper(ctx: FieldCtx, linf_value: int) -> Check:

@@ -423,14 +423,15 @@ def _emit(report: Report, args, elapsed_ms: float) -> None:
         print(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, slow: bool = False) -> None:
     p.add_argument("--m", type=int, required=True, help="extension degree of the field")
     p.add_argument("--modulus", help="irreducible modulus as hex bitmask, e.g. 0x25")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and echoed in the report's meta; has no effect")
-    p.add_argument("--slow", action="store_true",
-                   help=f"allow O(q^2) sweeps at m >= {SLOW_M}")
+    if slow:  # analyze and verify, the commands with an O(q^2) sweep
+        p.add_argument("--slow", action="store_true",
+                       help=f"allow O(q^2) sweeps at m >= {SLOW_M}")
 
 
 def _add_g(p: argparse.ArgumentParser) -> None:
@@ -459,7 +460,7 @@ def _parser() -> argparse.ArgumentParser:
     add = partial(sub.add_parser, allow_abbrev=False)  # each option has one spelling
 
     p = add("analyze", help="one G: norms, both sigma4 routes, bounds")
-    _add_common(p)
+    _add_common(p, slow=True)
     _add_g(p)
     p.add_argument("--checks", help=f"comma list from {{{','.join(ALL_CHECKS)}}}")
     p.set_defaults(func=cmd_analyze)
@@ -470,7 +471,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = add("verify", help="per-shift predictor vs measured X_alpha")
-    _add_common(p)
+    _add_common(p, slow=True)
     _add_g(p)
     _add_corpus(p)
     p.add_argument("--checks", help="comma list from {autocorr,predictor,genus2,auxcurve}; "

@@ -13,9 +13,13 @@ Multiplication is shift-xor reduction at heart.  Every context builds
 log/antilog tables from it when it is constructed (24 MB of int64 at
 m = 20); they back the scalar ``mul`` and ``pow`` and the whole-field vector
 helpers (``shift_term``, ``vterm``, ``vlog``, ``vexp``, ``monomial_table``),
-which act elementwise on int64 arrays of elements.
-``vterm(coef, x, e)`` is one gather from the doubled antilog table at
-log(coef) + (e*log(x) mod (q-1)), e an int or a (num, den) fraction.
+which act elementwise on int64 arrays of elements (a negative element raises
+ValueError, one >= q IndexError).  Every power, scalar or array, reads its
+exponent by one rule: an int e mod q-1, or a pair (num, den) as num * den^-1
+mod q-1 for den > 0 coprime to q-1 (ValueError otherwise); so ``pow(x, -1)``
+is the inverse and ``pow(x, (1, k))`` the k-th root.  0^e follows the sign of
+e (of num): negative raises ZeroDivisionError, 0 gives 1, positive gives 0.
+``vterm(coef, x, e)`` is one gather at log(coef) + (e*log(x) mod (q-1)).
 ``shift_term(coef, e)`` is the same product over the shift axis
 alpha = 1..q-1, whose logs are the table's own ``_log[1:]``: no log gather,
 no zero mask.  Every scalar-coefficient monomial of a per-shift route is a
@@ -174,6 +178,14 @@ _LINEAR_MAPS = {
 }
 
 
+def _least_element(x: np.ndarray) -> int | None:
+    """min(x), None if empty; ValueError for a negative x, which would read a table's end."""
+    low = int(x.min()) if x.size else None
+    if low is not None and low < 0:
+        raise ValueError(f"element {low} is negative")
+    return low
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, marked read-only: a context's tables are shared by every caller."""
     a.setflags(write=False)
@@ -236,58 +248,28 @@ class FieldCtx:
             return 0
         return int(self._exp[self._log[x] + self._log[y]])
 
-    def pow(self, x: int, n: int) -> int:
-        if x == 0:
-            if n < 0:
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 1 if n == 0 else 0
-        return int(self._exp[(int(self._log[x]) * n) % (self.q - 1)])
-
-    def _pow_raw(self, x: int, n: int) -> int:
-        """Square-and-multiply on shift-xor products."""
-        if x == 0:
-            if n < 0:
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 1 if n == 0 else 0
-        n %= self.q - 1
-        r, b = 1, x
-        while n:
-            if n & 1:
-                r = self.mul_raw(r, b)
-            b = self.mul_raw(b, b)
-            n >>= 1
-        return r
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.q - 2)
-
-    def trace(self, x: int) -> int:
-        return (x & self._trace_mask).bit_count() & 1
-
-    def sqrt(self, x: int) -> int:
-        # squaring is a field automorphism, so the root is unique
-        return self.pow(x, 1 << (self.m - 1))
-
-    def kth_root(self, x: int, k: int) -> int:
-        if gcd(k, self.q - 1) != 1:
-            raise ValueError(f"k={k} not coprime to q-1={self.q - 1}; k-th root not unique")
-        return self.pow(x, pow(k, -1, self.q - 1))
-
-    def _frac_exponent(self, num: int, den: int) -> int:
-        if den <= 0 or gcd(den, self.q - 1) != 1:
-            raise ValueError(f"denominator {den} not invertible modulo q-1={self.q - 1}")
-        return (num * pow(den, -1, self.q - 1)) % (self.q - 1)
-
-    def frac_pow(self, x: int, num: int, den: int) -> int:
-        """x^(num/den) via the inverse of den modulo q-1."""
-        e = self._frac_exponent(num, den)
+    def pow(self, x: int, e) -> int:
+        """x^e, e an int or a (num, den) pair, by the one rule of :meth:`_exponent`;
+        0^e follows the sign of e (of num for a pair), as in :meth:`vterm`."""
+        n, num = self._exponent(e)
         if x == 0:
             if num < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 1 if num == 0 else 0
-        return self.pow(x, e)
+        return int(self._exp[int(self._log[x]) * n % (self.q - 1)])
+
+    def _pow_raw(self, x: int, n: int) -> int:
+        """x^n, n >= 0, by shift-xor square-and-multiply: used before the tables exist."""
+        r = 1
+        while n:
+            if n & 1:
+                r = self.mul_raw(r, x)
+            x = self.mul_raw(x, x)
+            n >>= 1
+        return r
+
+    def trace(self, x: int) -> int:
+        return (x & self._trace_mask).bit_count() & 1
 
     def half_trace(self, c: int) -> int:
         """sum of c^(4^i) for i = 0..(m-1)/2; for odd m solves h^2+h = c when Tr(c)=0."""
@@ -365,9 +347,16 @@ class FieldCtx:
             x ^= (x >> self.m) * self.modulus  # bit m is the only overflow
         return r
 
-    def _exponent(self, e) -> int:
-        """e mod (q-1) for an int e, num/den mod (q-1) for a (num, den) pair."""
-        return self._frac_exponent(*e) if isinstance(e, tuple) else e % (self.q - 1)
+    def _exponent(self, e) -> tuple[int, int]:
+        """The one exponent rule of every power, with the sign 0^e follows: (e mod
+        (q-1), e) for an int e, (num * den^-1 mod (q-1), num) for a pair (num, den)."""
+        n = self.q - 1
+        if not isinstance(e, tuple):
+            return e % n, e
+        num, den = e
+        if den <= 0 or gcd(den, n) != 1:
+            raise ValueError(f"denominator {den} not invertible modulo q-1={n}")
+        return num * pow(den, -1, n) % n, num
 
     def shift_term(self, coef: int, e) -> np.ndarray:
         """coef * alpha^e for every shift alpha = 1..q-1 (entry k is alpha = k + 1),
@@ -377,7 +366,7 @@ class FieldCtx:
         n = self.q - 1
         if not coef:
             return np.zeros(n, dtype=np.int64)
-        idx = self._log[1:] * self._exponent(e)
+        idx = self._log[1:] * self._exponent(e)[0]
         idx %= n
         idx += self._log[coef]
         return self._exp[idx]
@@ -386,15 +375,15 @@ class FieldCtx:
         """coef * x^e elementwise for an array x, coef an int or an array of x's
         shape and e an int or a (num, den) pair: one gather from the doubled
         antilog table; x^0 = 1 also for x = 0, 0^(num/den) follows num."""
-        num = e[0] if isinstance(e, tuple) else e
+        n, num = self._exponent(e)
         x = np.asarray(x, dtype=np.int64)
-        if num < 0 and np.count_nonzero(x == 0):
+        if _least_element(x) == 0 and num < 0:  # min(x) is 0 exactly where some x is
             raise ZeroDivisionError("0 cannot be raised to a negative power")
         keep = x != 0 if num else True
         coef = np.asarray(coef, dtype=np.int64)
         if coef.ndim or coef == 0:
             keep = keep & (coef != 0)
-        idx = self._log[x] * self._exponent(e)  # updated in place: two whole arrays at most
+        idx = self._log[x] * n  # updated in place: two whole arrays at most
         idx %= self.q - 1
         idx += self._log[coef]
         out = self._exp[idx]
@@ -404,7 +393,7 @@ class FieldCtx:
     def vlog(self, x) -> np.ndarray:
         """Discrete logs, in [0, q-1), of nonzero x to the table generator."""
         x = np.asarray(x, dtype=np.int64)
-        if np.count_nonzero(x == 0):
+        if _least_element(x) == 0:
             raise ValueError("0 has no discrete logarithm")
         return self._log[x]
 
@@ -434,16 +423,20 @@ class FieldCtx:
         lo, hi = self.table(name, lambda ctx: ctx._linear_tables(_LINEAR_MAPS[name](ctx)))
         k = len(lo).bit_length() - 1
         if isinstance(x, (int, np.integer)):
+            if x < 0:
+                raise ValueError(f"element {x} is negative")
             return int(lo[x & (len(lo) - 1)] ^ hi[x >> k])
         x = np.asarray(x, dtype=np.int64)
-        if x.size > BATCH:
-            out = np.empty(x.shape, dtype=np.int64)
-            flat_out, flat_x = out.reshape(-1), x.reshape(-1)  # a 1-D strided x stays a view
-            for s in range(0, len(flat_x), BATCH):
-                flat_out[s:s + BATCH] = self._linear(name, flat_x[s:s + BATCH])
+        _least_element(x)
+        if x.size <= BATCH:
+            out = lo[x & (len(lo) - 1)]
+            out ^= hi[x >> k]
             return out
-        out = lo[x & (len(lo) - 1)]
-        out ^= hi[x >> k]
+        out = np.empty(x.shape, dtype=np.int64)
+        flat_out, flat_x = out.reshape(-1), x.reshape(-1)  # a 1-D strided x stays a view
+        for s in range(0, len(flat_x), BATCH):
+            block = flat_x[s:s + BATCH]
+            np.bitwise_xor(lo[block & (len(lo) - 1)], hi[block >> k], out=flat_out[s:s + BATCH])
         return out
 
     def _power_images(self, e: int) -> np.ndarray:
@@ -493,15 +486,11 @@ class FieldCtx:
 
     def _power(self, e: int) -> np.ndarray:
         """uint32 x^e for x in [0, q)  (e >= 1), the ``table`` entry "x^e", built
-        in blocks, so that no whole-field index array adds to peak memory."""
+        by :meth:`vterm` in blocks: no whole-field index array adds to peak memory."""
         def build(ctx):
-            n = ctx.q - 1
             pw = np.empty(ctx.q, dtype=np.uint32)
             for lo in range(0, ctx.q, BATCH):
-                idx = ctx._log[lo:lo + BATCH] * (e % n)
-                idx %= n
-                pw[lo:lo + BATCH] = ctx._exp[idx]
-            pw[0] = 0  # 0^e = 0; log(0) is a poison value
+                pw[lo:lo + BATCH] = ctx.vterm(1, np.arange(lo, min(lo + BATCH, ctx.q)), e)
             return (pw,)
         return self.table(f"x^{e}", build)[0]
 

@@ -70,7 +70,7 @@ def normalize_ab(ctx: FieldCtx, curve: QuinticCurve) -> tuple[QuinticCurve, int]
     """
     if curve.b == 0:
         raise ValueError("normalize_ab needs b != 0 (b = 0 is already the degenerate branch)")
-    lam = ctx.sqrt(ctx.mul(curve.b, ctx.inv(curve.a)))
+    lam = ctx.pow(ctx.mul(curve.b, ctx.pow(curve.a, -1)), (1, 2))
     nc = QuinticCurve(
         a=ctx.mul(curve.a, ctx.pow(lam, 5)),
         b=ctx.mul(curve.b, ctx.pow(lam, 3)),
@@ -96,7 +96,7 @@ def maisner_nart_w(ctx: FieldCtx, curve: QuinticCurve, z: int) -> dict:
         return {"w": 1, "ell": 1}
     if curve.a != curve.b:
         raise ValueError("curve must be in a = b normal form (see normalize_ab) or have b = 0")
-    ell = ctx.kth_root(1 ^ ctx.inv(ctx.pow(z, 4)), 3)
+    ell = ctx.pow(1 ^ ctx.pow(z, -4), (1, 3))
     return {"w": 3 if ctx.trace(ell) == 0 else 1, "ell": ell}
 
 

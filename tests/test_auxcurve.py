@@ -36,7 +36,7 @@ def test_s7_matches_brute_sum(m):
 def test_gamma_of(ctx7):
     g = TracePoly(a7=5)
     gamma = gamma_of(ctx7, g)
-    assert ctx7.pow(gamma, 3) == ctx7.inv(5)
+    assert ctx7.pow(gamma, 3) == ctx7.pow(5, -1)
 
 
 @pytest.mark.parametrize("m", [5, 7, 9])
@@ -71,7 +71,7 @@ def test_trace_identities_on_points(ctx7):
     g = TracePoly(a7=3, b=(0, 6, 2))
     gamma = gamma_of(ctx7, g)
     for x, v in enumerate_points(ctx7, gamma).points.tolist():
-        alpha = ctx7.pow(ctx7.inv(x), 3)
+        alpha = ctx7.pow(x, -3)
         eta = eta_of_alpha(ctx7, g, alpha)
         t1 = ctx7.trace(ctx7.mul(eta, ctx7.pow(v, 3)))
         t2 = ctx7.trace(ctx7.mul(eta, ctx7.mul(v, v) ^ v))

@@ -23,6 +23,7 @@ from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_a
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
                                count_points_all)
+from walshforge.spectrum import amplitude_counts, fwht, linf
 
 from oracles import x_alpha_from_bits
 
@@ -77,17 +78,16 @@ def test_vector_helpers_match_scalar(m):
     with pytest.raises(ZeroDivisionError):
         ctx.vterm(1, x, (-1, 1))
     for num, den in ((1, 4), (7, 4), (5, 2), (3, 1), (0, 2)):
-        assert ctx.vterm(1, x, (num, den)).tolist() == [ctx.frac_pow(int(a), num, den)
+        assert ctx.vterm(1, x, (num, den)).tolist() == [ctx.pow(int(a), (num, den))
                                                        for a in x]
         assert ctx.vterm(y, x, (num, den)).tolist() == [
-            ctx.mul(int(b), ctx.frac_pow(int(a), num, den)) for a, b in zip(x, y)]
+            ctx.mul(int(b), ctx.pow(int(a), (num, den))) for a, b in zip(x, y)]
     for coef, xs, n in ((y, x, 5), (y, x, (1, 2)), (3, x, 0), (0, x, 3),
                         (y[:len(nz)], nz, -7)):
         # Tr of the products against the scalar trace of the scalar products
-        num, den = n if isinstance(n, tuple) else (n, 1)
         t = ctx.trace_bits(ctx.vterm(coef, xs, n))
         assert t.dtype == np.uint8
-        assert t.tolist() == [ctx.trace(ctx.mul(int(c), ctx.frac_pow(int(a), num, den)))
+        assert t.tolist() == [ctx.trace(ctx.mul(int(c), ctx.pow(int(a), n)))
                               for c, a in zip(np.broadcast_to(coef, xs.shape), xs)]
     if m == 3:
         # 7/4 = 0 (mod q - 1 = 7), so x^(7/4) = 1 for x != 0, yet 0^(7/4) = 0
@@ -99,12 +99,12 @@ def test_vector_helpers_match_scalar(m):
         assert ctx.trace_bits(ctx.vterm([0, 3], [5, 5], 2)).tolist() == [
             0, ctx.trace(ctx.mul(3, ctx.pow(5, 2)))]
     if m % 2:
-        assert ctx.vterm(1, x, (1, 3)).tolist() == [ctx.kth_root(int(a), 3) for a in x]
+        assert ctx.vterm(1, x, (1, 3)).tolist() == [ctx.pow(int(a), (1, 3)) for a in x]
     else:
         with pytest.raises(ValueError, match="odd m"):
             ctx.vsolve_quartic(x)
     # shift_term: the same products over the shift axis alpha = 1..q-1, against
-    # vterm on every shift and against mul and pow (or frac_pow) on the sampled ones
+    # vterm on every shift and against mul and pow on the sampled ones
     alpha = np.arange(1, ctx.q, dtype=np.int64)
     sampled = np.unique(x[x != 0])
     exps = [0, 1, 3, 7, -1, -7, ctx.q - 1, 5 * ctx.q + 3,
@@ -115,9 +115,8 @@ def test_vector_helpers_match_scalar(m):
         for n in exps:
             got = ctx.shift_term(coef, n)
             assert got.dtype == np.int64 and got.tolist() == ctx.vterm(coef, alpha, n).tolist()
-            power = ((lambda a: ctx.frac_pow(a, *n)) if isinstance(n, tuple)
-                     else (lambda a: ctx.pow(a, n)))
-            assert got[sampled - 1].tolist() == [ctx.mul(coef, power(int(a))) for a in sampled]
+            assert got[sampled - 1].tolist() == [ctx.mul(coef, ctx.pow(int(a), n))
+                                                 for a in sampled]
 
 
 @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 200])
@@ -387,7 +386,7 @@ def test_c_spelling_disagreement_is_caught(monkeypatch):
 
     def skewed_shift(coef, e):  # flips a bit of both square roots of b_1 terms,
         out = real_shift(coef, e)  # sqrt(b_1) * alpha^(1/2) on the shift axis ...
-        return out ^ 1 if e == (1, 2) and coef == ctx.sqrt(6) else out
+        return out ^ 1 if e == (1, 2) and coef == ctx.pow(6, (1, 2)) else out
 
     def skewed_term(coef, x, e):  # ... and (b_1 * alpha^3)^(1/2), a root of an array
         out = real_term(coef, x, e)
@@ -408,7 +407,10 @@ def test_routes_relabel_under_scaling_and_frobenius(m, data):
     # G_t(x) = G(t x) has coefficients (a7 t^7, b_i t^(2^i+1)), so its truth
     # table reads G's at t*x, and its X_alpha and predicted X_alpha read G's at
     # t*alpha.  Squaring every coefficient gives G' with G'(x^2) = G(x)^2, so
-    # G' reads G's at x -> x^2 and alpha -> alpha^2.
+    # G' reads G's at x -> x^2 and alpha -> alpha^2.  The same holds for the
+    # reduced curve of each shift (its point count and its radical w), and
+    # what sums over every x or alpha does not move: the amplitude multiset
+    # of the spectrum, linf and the aux curve's counts.
     ctx = CTX[m]
     g = data.draw(tracepolys(m))
     t = data.draw(st.integers(2, ctx.q - 1))
@@ -416,15 +418,26 @@ def test_routes_relabel_under_scaling_and_frobenius(m, data):
 
     def arrays(h):
         bits = truth_table(ctx, h)
-        return bits, x_alpha_all(ctx, bits), np.concatenate([[0], classify_all(ctx, h).predicted])
+        a, b, c, d = reduce_difference_all(ctx, h)
+        per_shift = (classify_all(ctx, h).predicted, count_points_all(ctx, a, b, c, d),
+                     classify_curves(ctx, a, b, c).w)
+        return bits, x_alpha_all(ctx, bits), *(np.concatenate([[0], s]) for s in per_shift)
+
+    def sums(h):
+        spec = fwht(truth_table(ctx, h))
+        counted = count_n123(ctx, h, enumerate_points(ctx, gamma_of(ctx, h)),
+                             classify_all(ctx, h).eta)
+        return (amplitude_counts(spec).tolist(), linf(spec),
+                [counted[k] for k in ("N1", "N2", "N3", "N_assembled")])
 
     scaled = TracePoly(ctx.mul(g.a7, ctx.pow(t, 7)),
                        tuple(ctx.mul(bi, ctx.pow(t, (1 << i) + 1)) for i, bi in enumerate(g.b)))
     squared = TracePoly(ctx.mul(g.a7, g.a7), tuple(ctx.mul(bi, bi) for bi in g.b))
     tx, x2 = ctx.vterm(t, x, 1), ctx.vterm(1, x, 2)
-    for base, at_t, at_sq in zip(arrays(g), arrays(scaled), arrays(squared)):
+    for base, at_t, at_sq in zip(arrays(g), arrays(scaled), arrays(squared), strict=True):
         assert at_t.tolist() == base[tx].tolist()
         assert at_sq[x2].tolist() == base.tolist()
+    assert sums(g) == sums(scaled) == sums(squared)
 
 
 # -- packed popcount kernels -----------------------------------------------------

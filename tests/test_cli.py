@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import walshforge.autocorr as autocorr
 import walshforge.cli as cli
 import walshforge.genus2 as genus2
-from walshforge.boolfn import reduce_difference_all, tracepoly_from_json
-from walshforge.classify7 import classify_all
+from walshforge.boolfn import TracePoly, reduce_difference_all, tracepoly_from_json
+from walshforge.classify7 import EVEN_M_NOTE, check_linf_lower, classify_all
 from walshforge.cli import SLOW_M, main
 from walshforge.field import FieldCtx, default_modulus
 
@@ -57,6 +57,33 @@ def test_even_m_spectrum_only_allowed(capsys):
                          "--checks", "spectrum,bounds")
     assert code == 0
     assert doc["config"]["checks"] == ["spectrum", "bounds"]
+
+
+def test_bent_g_at_even_m_passes_with_the_family_bounds_soft(capsys):
+    # Tr(0x21 x^7 + 0x29 x^2) on GF(2^6) is bent: |W| = 8 = sqrt(q) at every w,
+    # so nl = 28 = 2^(m-1) - 2^(m/2-1), and linf^2 = q falls short of the odd-m 2q
+    code, doc = run_json(capsys, "analyze", "--m", "6", "--checks", "spectrum,bounds",
+                         "--g", '{"a7":"0x21","b":{"0":"0x29"},"s":0}')
+    assert code == 0
+    assert (doc["summary"]["linf"], doc["summary"]["nl"]) == (8, 28)
+    checks = {c["name"]: c for c in doc["checks"]}
+    lower = checks["spectral_lower_bound"]
+    assert (lower["lhs"], lower["rhs"], lower["pass"], lower["hard"]) == (64, 128, False, False)
+    assert lower["note"] == checks["sigma_deviation_bound"]["note"] == EVEN_M_NOTE
+    assert not checks["sigma_deviation_bound"]["hard"]
+    for name in ("parseval", "walsh_divisibility", "spectral_upper_bound"):
+        assert checks[name]["hard"] and checks[name]["pass"]
+    # a corpus at m = 6 holds bent members too
+    code, doc = run_json(capsys, "scan", "--m", "6", "--count", "64", "--s", "0", "--seed", "1")
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert code == 0 and not any(c["hard"] for c in failed)
+    assert {c["name"].split("[")[0] for c in failed} == {"spectral_lower_bound",
+                                                          "aggregate_linf_lower"}
+    # the refined clause (m >= 15 + 2s) is soft at even m too, and hard at odd m
+    for m in (16, 17):
+        refined = check_linf_lower(FieldCtx(m), TracePoly(1), 1)[1]
+        assert refined.name == "spectral_lower_bound_refined" and not refined.passed
+        assert refined.hard == (m % 2 == 1)
 
 
 def test_unknown_check_rejected(capsys):
@@ -218,7 +245,7 @@ def _n_fibre_dropped(real):
     def corrupt(ctx, g, pts, eta):  # the fibre of one 8q shift alpha = x^(-3) unseen
         predicted = classify_all(ctx, g).predicted
         alpha = 1 + _first(predicted == 8 * ctx.q)
-        x = ctx.kth_root(ctx.inv(alpha), 3)
+        x = ctx.pow(alpha, (-1, 3))
         keep = pts.points[:, 0] != x
         assert np.count_nonzero(~keep) == 2
         return real(ctx, g, dataclasses.replace(pts, points=pts.points[keep]), eta)
@@ -298,7 +325,7 @@ def test_corrupted_radical_table_fails_membership(capsys, monkeypatch, cmd):
     k = _first(genus2.classify_curves(ctx, a, b, c).radius)
     w, dual, q0 = ctx.table("genus2.radicals", genus2._radical_table)
     w = w.copy()
-    w[ctx.mul(int(b[k]), ctx.frac_pow(int(a[k]), -3, 5))] += 2
+    w[ctx.mul(int(b[k]), ctx.pow(int(a[k]), (-3, 5)))] += 2
     monkeypatch.setitem(ctx._tables, "genus2.radicals", (w, dual, q0))
     code, doc = run_json(capsys, *CONTROL_ARGV[cmd])
     assert code == 1 and _failed(doc) == {"curve_count_membership"}
@@ -424,7 +451,7 @@ PINNED = [
     # genus2 without autocorr: X_alpha comes from the truth table alone
     (("analyze", "--m", "8", "--checks", "spectrum,bounds,genus2", "--g",
       '{"a7":"0x1D","b":{"1":"0x6"},"s":1}'),
-     "0a988303450afce01f7fa523ecab87d66c22c9ed2b12eeffcf067081296e9333"),
+     "4b15fa4c0d33b3a46081dbd5c9fed756e07341a78ed308550fd744d8ae746434"),
     (("scan", "--m", "9", "--count", "20", "--s", "1", "--seed", "42"),
      "fdc484375b62f1fa1ae1a61a5a301f76231556179aa448b5272a6ba9cb0892a3"),
     (("curve", "--m", "7", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x0"}'),
@@ -719,7 +746,10 @@ def test_slow_gate(capsys):
     # a prefix of an option is not one of its spellings
     ["scan", "--m", "5", "--cou", "2"],
     ["verify", "--m", "5", "--count", "1", "--selftest"],
-    ["analyze", "--m", "5", "--che", "spectrum", "--g", '{"a7":"0x3"}']])
+    ["analyze", "--m", "5", "--che", "spectrum", "--g", '{"a7":"0x3"}'],
+    # --slow gates the O(q^2) sweeps of analyze and verify; scan and curve run none
+    ["scan", "--m", "5", "--slow"],
+    ["curve", "--m", "5", "--slow", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x1"}']])
 def test_removed_spellings_exit_2(capsys, argv):
     # JSON is the one report format, and each option has one spelling
     with pytest.raises(SystemExit) as exc:

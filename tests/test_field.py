@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import walshforge.cli as cli
 import walshforge.genus2 as genus2
-from walshforge.field import _LINEAR_MAPS, FieldCtx, default_modulus, is_irreducible
+from walshforge.field import _LINEAR_MAPS, BATCH, FieldCtx, default_modulus, is_irreducible
 
 # second irreducible quintic besides the default 0x25, for independence tests
 ALT_MOD_5 = 0x29
@@ -73,32 +73,46 @@ def test_pow_matches_repeated_mul(x, n):
     assert ctx.pow(x, n) == expected
 
 
-@given(st.integers(1, 2047))
-def test_inverse(x):
-    ctx = FieldCtx(11)
-    assert ctx.mul(x, ctx.inv(x)) == 1
+# One exponent rule for every power: a (num, den) pair is num * den^-1 mod q-1,
+# so y = x^(num/den) has y^den = x^num, read back by the int-exponent pow that
+# test_pow_matches_repeated_mul checks.  2^9 - 1 = 511 = 7 * 73 has cube and
+# fifth roots; 2^5 - 1 = 31 has seventh roots.
+@pytest.mark.parametrize("m,num,den", [
+    pytest.param(11, -1, 1, id="inverse"), pytest.param(13, 1, 2, id="square-root"),
+    pytest.param(9, 1, 3, id="cube-root"), pytest.param(9, 1, 5, id="fifth-root"),
+    pytest.param(5, 1, 7, id="seventh-root"), pytest.param(9, 3, 4, id="three-quarters")])
+@given(x=st.integers(1, 8191))
+def test_pow_of_a_fraction_undoes_by_int_powers(m, num, den, x):
+    ctx = FieldCtx(m)
+    x = x % (ctx.q - 1) + 1
+    y = ctx.pow(x, (num, den))
+    if den == 1:
+        assert y == ctx.pow(x, num)
+    if num < 0:
+        assert ctx.mul(ctx.pow(y, den), ctx.pow(x, -num)) == 1
+    else:
+        assert ctx.pow(y, den) == ctx.pow(x, num)
 
 
-@given(st.integers(0, 8191))
-def test_sqrt_squares_back(x):
-    ctx = FieldCtx(13)
-    assert ctx.mul(ctx.sqrt(x), ctx.sqrt(x)) == x
+def test_pow_refuses_a_denominator_not_invertible():
+    ctx = FieldCtx(9)  # 7 divides q - 1 = 511: seventh roots are not unique
+    for den in (7, 0, -1):
+        for power in (lambda e: ctx.pow(2, e), lambda e: ctx.vterm(1, [2], e),
+                      lambda e: ctx.shift_term(1, e)):
+            with pytest.raises(ValueError, match=f"denominator {den} not invertible"):
+                power((1, den))
+    with pytest.raises(ValueError, match="not invertible"):
+        ctx.pow(0, (1, 7))  # the exponent is read before the zero base
 
 
-@pytest.mark.parametrize("k", [3, 5])
-@given(x=st.integers(1, 511))
-def test_kth_root(k, x):
-    ctx = FieldCtx(9)
-    r = ctx.kth_root(x, k)
-    assert ctx.pow(r, k) == x
-
-
-def test_kth_root_requires_coprime_exponent():
-    # 2^9 - 1 = 511 = 7 * 73, so cube/fifth roots exist but 7th roots are not unique
-    with pytest.raises(ValueError):
-        FieldCtx(9).kth_root(2, 7)
-    ctx5 = FieldCtx(5)
-    assert ctx5.pow(ctx5.kth_root(2, 7), 7) == 2
+def test_pow_of_zero_follows_the_sign_of_the_exponent(ctx5):
+    for e, want in ((0, 1), ((0, 3), 1), (5, 0), (ctx5.q - 1, 0), ((1, 2), 0), ((3, 4), 0)):
+        assert ctx5.pow(0, e) == want == ctx5.vterm(1, [0], e)[0], e
+    for e in (-1, -31, (-1, 3), (-3, 4)):
+        with pytest.raises(ZeroDivisionError):
+            ctx5.pow(0, e)
+        with pytest.raises(ZeroDivisionError):
+            ctx5.vterm(1, [0], e)
 
 
 @given(st.integers(0, 127), st.integers(0, 127))
@@ -154,12 +168,6 @@ def test_two_moduli_independent_results():
         orders = {x: next(n for n in range(1, 32) if ctx.pow(x, n) == 1)
                   for x in range(2, 32)}
         assert set(orders.values()) == {31}
-
-
-def test_frac_pow(ctx9):
-    for x in (1, 2, 0x1F, 0x100):
-        y = ctx9.frac_pow(x, 3, 4)
-        assert ctx9.pow(y, 4) == ctx9.pow(x, 3)
 
 
 def test_monomial_table_matches_scalar():
@@ -237,6 +245,24 @@ def test_dual_mask_gives_the_trace_of_every_product(case):
     np.testing.assert_array_equal(parity, ctx.trace_bits(ctx.monomial_table(c, 1)))
     # an array of elements gives the scalar mask of each
     assert ctx.dual(y).tolist() == [ctx.dual(x) for x in range(ctx.q)]
+
+
+def test_element_reads_refuse_elements_outside_the_field():
+    # a negative element would index a table from its end and read a wrong
+    # value; one >= q reads past it.  Arrays longer than BATCH are read in
+    # blocks, and the refusal holds whichever block the element is in.
+    ctx = FieldCtx(9)
+    reads = {"vsquare": ctx.vsquare, "dual": ctx.dual, "vterm": lambda x: ctx.vterm(1, x, 3),
+             "vlog": ctx.vlog}
+    for name, read in reads.items():
+        for bad, error in ((-1, ValueError), (ctx.q, IndexError)):
+            for x in ([1, bad], np.r_[np.ones(BATCH, dtype=np.int64), bad]):
+                with pytest.raises(error):
+                    read(np.asarray(x))
+            if name in ("vsquare", "dual"):  # the int form of a linear map
+                with pytest.raises(error):
+                    read(bad)
+    assert ctx.vsquare(np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
