@@ -244,7 +244,9 @@ class FieldCtx:
         return _pm_mulmod(x, y, self.modulus)
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
+        if x <= 0 or y <= 0:  # a negative element would read the log table from its end
+            if x < 0 or y < 0:
+                raise ValueError(f"element {min(x, y)} is negative")
             return 0
         return int(self._exp[self._log[x] + self._log[y]])
 
@@ -252,7 +254,9 @@ class FieldCtx:
         """x^e, e an int or a (num, den) pair, by the one rule of :meth:`_exponent`;
         0^e follows the sign of e (of num for a pair), as in :meth:`vterm`."""
         n, num = self._exponent(e)
-        if x == 0:
+        if x <= 0:
+            if x < 0:
+                raise ValueError(f"element {x} is negative")
             if num < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return 1 if num == 0 else 0

@@ -11,8 +11,13 @@ convention (asserted by a test, not assumed).
 
 ``fwht`` computes it as r <= ceil(m/5) float32 matrix products with cached
 Sylvester factors of order at most 32 (exact for q <= 2^24, see its
-docstring).  The sums over the spectrum that can pass int64 (``l4_fourth``,
-``parseval_sum``) are taken in Python ints over the amplitude histogram.
+docstring).  Each product runs in blocks, every sgemm of at most
+``GEMM_MACS`` = 2^18 multiply-adds: OpenBLAS runs a gemm that small on the
+calling thread (its rule is m*n*k <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+= 65536 * 4), so the transform never wakes a BLAS worker, whose busy-wait
+after each product would take a second CPU for no gain.  The sums over the
+spectrum that can pass int64 (``l4_fourth``, ``parseval_sum``) are taken in
+Python ints over the amplitude histogram.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 MAX_FACTOR_BITS = 5  # H_32 factors measured fastest at m = 13, 15 and 17
 MAX_TABLE_LEN = 1 << 24  # float32 holds every integer of magnitude <= 2^24
+GEMM_MACS = 1 << 18  # the largest sgemm OpenBLAS keeps on the calling thread
 
 
 @cache
@@ -37,12 +43,19 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def _factor_bits(m: int) -> list[int]:
+@cache
+def _factor_bits(m: int) -> tuple[int, ...]:
     """Split m bits into the fewest blocks of at most MAX_FACTOR_BITS, as
-    equal as possible, larger first: 15 -> [5, 5, 5], 17 -> [5, 4, 4, 4]."""
+    equal as possible, larger first: 15 -> (5, 5, 5), 17 -> (5, 4, 4, 4)."""
     r = max(1, -(-m // MAX_FACTOR_BITS))
     base, extra = divmod(m, r)
-    return [base + 1] * extra + [base] * (r - extra)
+    return (base + 1,) * extra + (base,) * (r - extra)
+
+
+def _sgemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ y over stacked matrices, one sgemm of x.shape[-2] * x.shape[-1] *
+    y.shape[-1] multiply-adds per pair: every product ``fwht`` makes."""
+    return np.matmul(x, y, out=out)
 
 
 def fwht(table: np.ndarray) -> np.ndarray:
@@ -53,16 +66,28 @@ def fwht(table: np.ndarray) -> np.ndarray:
     every k_i <= MAX_FACTOR_BITS, because (-1)^parity(v & x) factors over any
     split of the bits of v and x into blocks.  So the signs (-1)^bits[x] are
     viewed as a tensor of shape (2^k1, ..., 2^kr), high bits of x first, and
-    each axis is multiplied by its cached float32 H with one matmul: the
-    last axis as ``reshape(-1, 2^kr) @ H``, the leading axes in batched form.
+    each axis is multiplied by its cached float32 H: the last axis as
+    ``(rows, 2^kr) @ H``, each leading axis as ``H @ (2^k, tail)`` for every
+    index above it.
+
+    Every sgemm does at most GEMM_MACS = 2^18 multiply-adds, the largest
+    product OpenBLAS runs on the calling thread; a larger one wakes its worker
+    threads, which then busy-wait for the next product, so the transform would
+    take twice the CPU (one product per axis passes 2^18 from m = 14).  The
+    last axis is stacked in blocks of at most 2^18 / 4^kr rows.  A leading
+    axis whose tail passes 2^18 / 4^k columns is cut along its tail into
+    blocks of that many columns, read through a transposed view and written
+    through one into a buffer already in the final layout, so no copy
+    follows; a shorter tail is one product per index above the axis, as it
+    lands.
 
     The float32 result is exact.  After the axes multiplied so far cover K
     bits, every entry is an integer sum of 2^K signs, and each partial sum
     that sgemm forms while multiplying the next axis (k bits) is a sum of at
     most 2^k such entries times +-1: an integer of magnitude at most
     2^(K + k) <= 2^m.  Every integer of magnitude <= 2^24 is a float32, so for
-    q <= 2^24 no rounding happens whatever the summation order, thread split
-    or FMA use; longer tables are refused before any work.  The final cast to
+    q <= 2^24 no rounding happens whatever the summation order, blocking or
+    FMA use; longer tables are refused before any work.  The final cast to
     int32 is exact too.  Widen before squaring.
     """
     q = len(table)
@@ -75,11 +100,20 @@ def fwht(table: np.ndarray) -> np.ndarray:
     a = table.astype(np.float32)
     a *= -2
     a += 1  # (-1)^bits
-    a = a.reshape(-1, 1 << ks[-1]) @ _hadamard(ks[-1])
+    k = ks[-1]
+    a = _sgemm(a.reshape(-1, min(q >> k, GEMM_MACS >> 2 * k), 1 << k), _hadamard(k))
     lead, tail = 1, q
     for k in ks[:-1]:
         tail >>= k
-        a = np.matmul(_hadamard(k), a.reshape(lead, 1 << k, tail))
+        cols = GEMM_MACS >> 2 * k
+        if tail <= cols:
+            a = _sgemm(_hadamard(k), a.reshape(lead, 1 << k, tail))
+        else:  # viewed as (lead, 2^k, blocks, cols); each block's product lands in place
+            shape = (lead, 1 << k, tail // cols, cols)
+            out = np.empty(shape, np.float32)
+            _sgemm(_hadamard(k), a.reshape(shape).transpose(0, 2, 1, 3),
+                   out.transpose(0, 2, 1, 3))
+            a = out
         lead <<= k
     return a.reshape(q).astype(np.int32)
 

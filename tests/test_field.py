@@ -265,6 +265,13 @@ def test_element_reads_refuse_elements_outside_the_field():
     assert ctx.vsquare(np.array([], dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("op, args", [("pow", (-1, 3)), ("mul", (-3, 1)), ("pow", (-2, (1, 2)))])
+def test_scalar_ops_refuse_a_negative_element(op, args):
+    # each read the log table from its end: 307, 509 and 480 at m = 9
+    with pytest.raises(ValueError, match="negative"):
+        getattr(FieldCtx(9), op)(*args)
+
+
 def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
     ctx = FieldCtx(15)
     terms = [(0x1f3, 7), (3, 2), (0, 3), (9, 5)]  # a zero coef builds no power array

@@ -1,3 +1,7 @@
+import glob
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,13 +81,73 @@ def test_fwht_refuses_tables_past_float32_exactness(monkeypatch):
         fwht(np.zeros(1 << 25, np.uint8))
 
 
+def test_every_product_stays_below_the_blas_threading_threshold(monkeypatch):
+    # OpenBLAS runs an sgemm of m*n*k <= 2^18 on the calling thread; every
+    # product fwht makes goes through _sgemm, and together they do the whole
+    # transform: q * 2^k multiply-adds for each factor H_{2^k}
+    products = []
+
+    def recording(x, y, out=None):
+        products.append((x.shape, y.shape))
+        return np.matmul(x, y, out=out)
+
+    monkeypatch.setattr(spectrum, "_sgemm", recording)
+    for m in range(21):
+        products.clear()
+        table = (np.random.default_rng(m).random(1 << m) < 0.5).astype(np.uint8)
+        np.testing.assert_array_equal(fwht(table), fwht_stages(table))
+        total = 0
+        for xs, ys in products:
+            macs = xs[-2] * xs[-1] * ys[-1]
+            assert macs <= 2**18, (m, xs, ys)
+            total += macs * int(np.prod(np.broadcast_shapes(xs[:-2], ys[:-2])))
+        assert total == sum((1 << m) << k for k in spectrum._factor_bits(m))
+
+
+def _other_thread_ticks() -> dict[str, int]:
+    """utime + stime of every thread of this process but the calling one."""
+    me = str(threading.get_native_id())
+    ticks = {}
+    for path in glob.glob("/proc/self/task/*/stat"):
+        tid = path.split("/")[-2]
+        try:
+            with open(path) as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended between glob and open
+            continue
+        if tid != me:
+            ticks[tid] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not glob.glob("/proc/self/task/*/stat"), reason="needs Linux's /proc")
+def test_fwht_leaves_every_other_thread_idle():
+    # a product past OpenBLAS's threading threshold would hand half its work
+    # to the worker threads, which then busy-wait: they would gain ticks here
+    tables = [(np.random.default_rng(m).random(1 << m) < 0.5).astype(np.uint8)
+              for m in range(15, 21)]
+    for table in tables:  # warm: the Hadamard factors, the allocator
+        fwht(table)
+    before = _other_thread_ticks()
+    for _ in range(20):  # let a worker woken before this test go back to sleep
+        time.sleep(0.25)
+        before, settled = _other_thread_ticks(), before
+        if before == settled:
+            break
+    for _ in range(3):
+        for table in tables:
+            fwht(table)
+    after = _other_thread_ticks()
+    assert {tid: n - before.get(tid, 0) for tid, n in after.items() if n != before.get(tid, 0)} == {}
+
+
 def test_factor_splits():
-    assert spectrum._factor_bits(0) == [0]
-    assert spectrum._factor_bits(5) == [5]
-    assert spectrum._factor_bits(6) == [3, 3]
-    assert spectrum._factor_bits(15) == [5, 5, 5]
-    assert spectrum._factor_bits(17) == [5, 4, 4, 4]
-    assert spectrum._factor_bits(20) == [5, 5, 5, 5]
+    assert spectrum._factor_bits(0) == (0,)
+    assert spectrum._factor_bits(5) == (5,)
+    assert spectrum._factor_bits(6) == (3, 3)
+    assert spectrum._factor_bits(15) == (5, 5, 5)
+    assert spectrum._factor_bits(17) == (5, 4, 4, 4)
+    assert spectrum._factor_bits(20) == (5, 5, 5, 5)
     for m in range(25):
         ks = spectrum._factor_bits(m)
         assert sum(ks) == m and max(ks) <= 5 and max(ks) - min(ks) <= 1
