@@ -55,7 +55,7 @@ def eval_g(ctx: FieldCtx, g: TracePoly, x: int) -> int:
 def truth_table(ctx: FieldCtx, g: TracePoly) -> np.ndarray:
     """bits[x] = Tr(G(x)) over all x in [0, q), as uint8: one
     :meth:`FieldCtx.trace_row`, the parity of the XOR of dual(coef) & x^e
-    over G's monomials, read from the context's cached power arrays."""
+    over G's monomials, read from the context's cached packed power words."""
     return ctx.trace_row([(g.a7, 7)] + [(bi, (1 << i) + 1) for i, bi in enumerate(g.b)])
 
 

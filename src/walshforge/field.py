@@ -41,17 +41,21 @@ Tr of every element of an array: the parity of popcount(v & trace_mask).
 for each c one mask ``dual(c)`` has Tr(c*y) = parity(dual(c) & y) for every
 y, and ``dual`` is linear in c too, read from the tables of the map that
 sends x^j to its column mask dual(x^j), for an int or an array.  So the row
-is the parity of XOR(dual(coef) & x^e): T ANDs and T-1 XORs over contiguous
-uint32 power arrays x^e, then one popcount.  Truth tables, the auxiliary
-curve's S7 sum and the one-curve point count are such rows.
-``trace_bits(monomial_table(...))`` is its test oracle.
+is the parity of XOR(dual(coef) & x^e).  The powers are packed 64 // m to a
+word, x^e_0 | x^e_1 << m | ..., and the masks dual(coef_i) << i*m alike, so
+the AND of a word with its mask holds every term of its group, and the
+parity of its popcount is their XOR: a row of up to 64 // m terms (a truth
+table of G with s = 2 up to m = 16) is one AND, one popcount and one ``& 1``.
+Truth tables, the auxiliary curve's S7 sum and the one-curve point count are
+such rows.  ``trace_bits(monomial_table(...))`` is its test oracle.
 
 One store, ``table(name, build)``, keeps every array a context derives
 from the field alone, built on first use, read-only and kept for the life of
-the context: the uint32 power arrays ``"x^e"`` of ``trace_row``, one per
-exponent used (4 MB each at m = 20); the (lo, hi) tables ``"square"``,
-``"fourth"``, ``"quartic"`` and ``"dual"`` of the linear maps; genus2's
-``"genus2.radicals"`` and ``"genus2.sequences"``; not the log tables.
+the context: the packed power words ``"x^e_0,e_1,..."`` of ``trace_row``,
+one per group of exponents a row reads, uint64 or, where the group fits in
+32 bits, uint32 (8 + 4 MB for G with s = 2 at m = 20); the (lo, hi) tables
+``"square"``, ``"fourth"``, ``"quartic"`` and ``"dual"`` of the linear maps;
+genus2's ``"genus2.radicals"`` and ``"genus2.sequences"``; not the log tables.
 
 The two O(q^2) direct sums (the X_alpha table and the genus-2 point counts)
 count over bit rows packed 64 to a uint64 word: ``pack_bits`` packs them and
@@ -68,8 +72,7 @@ import numpy as np
 # Largest field any context accepts: every route holds whole-field int64
 # arrays, whose share of peak RSS grows about 4x per +2 in m (README gives
 # figures), and the Parseval sum is exact in int64 through m = 20.  The
-# cached power arrays of trace_row are uint32, which holds every element
-# while MAX_M <= 32.
+# packed power words of trace_row hold 64 // m >= 1 elements while MAX_M <= 32.
 MAX_M = 20
 # elements in a 2-D temporary of a batched whole-field pass; an x_alpha_all
 # block holds at least one whole 64-lane row, q / 2 words, more from m = 15
@@ -488,32 +491,48 @@ class FieldCtx:
         Linear in c: two reads from the tables of the map x^j -> dual(x^j)."""
         return self._linear("dual", c)
 
-    def _power(self, e: int) -> np.ndarray:
-        """uint32 x^e for x in [0, q)  (e >= 1), the ``table`` entry "x^e", built
-        by :meth:`vterm` in blocks: no whole-field index array adds to peak memory."""
+    def _power_word(self, exps: tuple[int, ...]) -> np.ndarray:
+        """x^e_0 | x^e_1 << m | x^e_2 << 2m | ... for x in [0, q), at most
+        64 // m exponents (each e >= 1): the ``table`` entry "x^e_0,e_1,...".
+        uint32 where the group fits in 32 bits, else uint64; built by
+        :meth:`vterm` in blocks, so no whole-field index array adds to peak memory."""
         def build(ctx):
-            pw = np.empty(ctx.q, dtype=np.uint32)
+            dtype = np.uint32 if len(exps) * ctx.m <= 32 else np.uint64
+            word = np.zeros(ctx.q, dtype=dtype)
             for lo in range(0, ctx.q, BATCH):
-                pw[lo:lo + BATCH] = ctx.vterm(1, np.arange(lo, min(lo + BATCH, ctx.q)), e)
-            return (pw,)
-        return self.table(f"x^{e}", build)[0]
+                x = np.arange(lo, min(lo + BATCH, ctx.q))
+                for i, e in enumerate(exps):
+                    word[lo:lo + BATCH] |= ctx.vterm(1, x, e).astype(dtype) << dtype(i * ctx.m)
+            return (word,)
+        return self.table("x^" + ",".join(map(str, exps)), build)[0]
 
     def trace_row(self, terms) -> np.ndarray:
         """uint8 bits Tr(sum of coef * x^e) over all x in [0, q), for (coef, e)
         pairs with e >= 1: the parity of XOR(dual(coef) & x^e), with no gather.
-        The row is a fresh array, so callers may write into it."""
-        acc = tmp = None
-        for coef, e in terms:
-            if e < 1:
-                raise ValueError("monomial exponent must be >= 1")
-            if not coef:
+        The terms go 64 // m to a packed power word, in order, and each word
+        is ANDed with its mask, the duals shifted alike; so a sum of up to
+        64 // m terms is one AND, one popcount and one ``& 1``.  A zero coef
+        has mask 0 but keeps its slot, so the word depends on the exponents
+        alone; a word whose every coef is 0 is not read.  The row is a fresh
+        array, so callers may write into it."""
+        terms = list(terms)
+        if any(e < 1 for _, e in terms):
+            raise ValueError("monomial exponent must be >= 1")
+        per_word = 64 // self.m
+        acc = None
+        for s in range(0, len(terms), per_word):
+            group = terms[s:s + per_word]
+            mask = 0
+            for i, (coef, _) in enumerate(group):
+                if coef:
+                    mask |= self.dual(int(coef)) << i * self.m
+            if not mask:
                 continue
-            d = np.uint32(self.dual(int(coef)))
+            word = self._power_word(tuple(e for _, e in group))
             if acc is None:
-                acc = np.bitwise_and(self._power(e), d)
-            else:
-                tmp = np.bitwise_and(self._power(e), d, out=tmp)
-                acc ^= tmp
+                acc = np.bitwise_and(word, word.dtype.type(mask))
+            else:  # only a last, short word can be narrower than acc
+                acc ^= word & word.dtype.type(mask)
         if acc is None:
             return np.zeros(self.q, dtype=np.uint8)
         bits = np.bitwise_count(acc)

@@ -9,15 +9,20 @@ The trace pairing Tr(v*x) differs from parity(v & x) by a linear change of
 basis that only permutes the index v, so every norm is the same under either
 convention (asserted by a test, not assumed).
 
-``fwht`` computes it as r <= ceil(m/5) float32 matrix products with cached
-Sylvester factors of order at most 32 (exact for q <= 2^24, see its
-docstring).  Each product runs in blocks, every sgemm of at most
-``GEMM_MACS`` = 2^18 multiply-adds: OpenBLAS runs a gemm that small on the
-calling thread (its rule is m*n*k <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
-= 65536 * 4), so the transform never wakes a BLAS worker, whose busy-wait
-after each product would take a second CPU for no gain.  The sums over the
-spectrum that can pass int64 (``l4_fourth``, ``parseval_sum``) are taken in
-Python ints over the amplitude histogram.
+``fwht_f32`` computes it as r <= ceil(m/5) float32 matrix products with
+cached Sylvester factors of order at most 32 (exact for q <= 2^24, see its
+docstring), and ``fwht`` is that array cast to int32.  Each product runs in
+blocks, every sgemm of at most ``GEMM_MACS`` = 2^18 multiply-adds: OpenBLAS
+runs a gemm that small on the calling thread (its rule is m*n*k <=
+SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4), so the
+transform never wakes a BLAS worker, whose busy-wait after each product
+would take a second CPU for no gain.
+
+The spectrum route reads the float32 transform itself: ``amplitude_counts``
+takes |W| and sorts it in place, then measures each run of equal
+amplitudes, so the route makes no int32 spectrum and no int64 copy.  The
+sums over the spectrum that can pass int64 (``l4_fourth``,
+``parseval_sum``) are taken in Python ints over that amplitude histogram.
 """
 
 from __future__ import annotations
@@ -54,12 +59,14 @@ def _factor_bits(m: int) -> tuple[int, ...]:
 
 def _sgemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ y over stacked matrices, one sgemm of x.shape[-2] * x.shape[-1] *
-    y.shape[-1] multiply-adds per pair: every product ``fwht`` makes."""
+    y.shape[-1] multiply-adds per pair: every product ``fwht_f32`` makes."""
     return np.matmul(x, y, out=out)
 
 
-def fwht(table: np.ndarray) -> np.ndarray:
-    """Walsh transform of a 0/1 truth table: the int32 spectrum, C-contiguous.
+def fwht_f32(table: np.ndarray) -> np.ndarray:
+    """Walsh transform of a 0/1 truth table as exact float32: a fresh
+    C-contiguous array the caller owns and may overwrite (the spectrum route
+    sorts its amplitudes in place, see :func:`amplitude_counts`).
 
     The Walsh matrix of order q = 2^m is the Kronecker product of small
     Sylvester matrices H_{2^k1} x ... x H_{2^kr} with k1 + ... + kr = m and
@@ -87,8 +94,7 @@ def fwht(table: np.ndarray) -> np.ndarray:
     most 2^k such entries times +-1: an integer of magnitude at most
     2^(K + k) <= 2^m.  Every integer of magnitude <= 2^24 is a float32, so for
     q <= 2^24 no rounding happens whatever the summation order, blocking or
-    FMA use; longer tables are refused before any work.  The final cast to
-    int32 is exact too.  Widen before squaring.
+    FMA use; longer tables are refused before any work.  Widen before squaring.
     """
     q = len(table)
     m = q.bit_length() - 1
@@ -115,24 +121,49 @@ def fwht(table: np.ndarray) -> np.ndarray:
                    out.transpose(0, 2, 1, 3))
             a = out
         lead <<= k
-    return a.reshape(q).astype(np.int32)
+    return a.reshape(q)
+
+
+def fwht(table: np.ndarray) -> np.ndarray:
+    """Walsh transform of a 0/1 truth table: the int32 spectrum, C-contiguous,
+    :func:`fwht_f32` cast exactly to int32.  Widen before squaring."""
+    return fwht_f32(table).astype(np.int32)
 
 
 def linf(spec: np.ndarray) -> int:
     return int(np.abs(spec).max())
 
 
-def amplitude_counts(spec: np.ndarray) -> np.ndarray:
-    """counts[k] = how many v have |spec[v]| = k, for k in 0..linf(spec)."""
-    return np.bincount(np.abs(spec))
+def amplitude_counts(spec: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """counts[k] = how many v have |spec[v]| = k, for k in 0..linf(spec), as
+    ``np.bincount(np.abs(spec))`` gives them, for an int spectrum or the
+    exact float32 one of :func:`fwht_f32`.
+
+    |spec| is sorted once and each run of equal amplitudes is measured by one
+    binary search, so no int64 copy is made; a spectrum of this family has a
+    few distinct amplitudes, so that is a few steps.  With ``overwrite`` the
+    absolute value and the sort are taken in place in ``spec``, which then
+    holds the sorted amplitudes; otherwise on a copy.
+    """
+    a = np.abs(spec, out=spec if overwrite else None)
+    a.sort()
+    counts = np.zeros(int(a[-1]) + 1 if a.size else 0, dtype=np.int64)
+    start = 0
+    while start < a.size:
+        end = int(a.searchsorted(a[start], "right"))
+        counts[int(a[start])] = end - start
+        start = end
+    return counts
 
 
 def _power_sum(spec: np.ndarray, p: int, counts: np.ndarray | None) -> int:
     """sum of |spec|^p in Python ints over the few distinct amplitudes, weighted
-    by how often each occurs: exact at any size, with no int64 copy."""
+    by how often each occurs: exact at any size, with no int64 copy.  The
+    nonzero amplitudes and their counts are read once, as Python ints."""
     if counts is None:
         counts = amplitude_counts(spec)
-    return sum(int(k) ** p * int(counts[k]) for k in np.flatnonzero(counts))
+    amps = np.flatnonzero(counts)
+    return sum(k ** p * n for k, n in zip(amps.tolist(), counts[amps].tolist()))
 
 
 def l4_fourth(spec: np.ndarray, counts: np.ndarray | None = None) -> int:

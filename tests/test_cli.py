@@ -79,6 +79,8 @@ def test_bent_g_at_even_m_passes_with_the_family_bounds_soft(capsys):
     assert code == 0 and not any(c["hard"] for c in failed)
     assert {c["name"].split("[")[0] for c in failed} == {"spectral_lower_bound",
                                                           "aggregate_linf_lower"}
+    # the aggregate bound says why it is soft, as the per-G rows do
+    assert {c["note"] for c in failed} == {EVEN_M_NOTE}
     # the refined clause (m >= 15 + 2s) is soft at even m too, and hard at odd m
     for m in (16, 17):
         refined = check_linf_lower(FieldCtx(m), TracePoly(1), 1)[1]
@@ -279,7 +281,7 @@ NEGATIVE_CONTROLS = [
     ("enumerate_points", _fibre_dropped, {"aux_count_identity"}),
     ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}),
     ("count_n123", _eta_zeroed, {"aux_n_assembly"}),
-    ("fwht", _spectrum_moved, {"parseval", "sigma4_cross_path"}),
+    ("fwht_f32", _spectrum_moved, {"parseval", "sigma4_cross_path"}),
 ]
 
 

@@ -272,24 +272,77 @@ def test_scalar_ops_refuse_a_negative_element(op, args):
         getattr(FieldCtx(9), op)(*args)
 
 
-def test_trace_row_allocates_little_and_caches_one_array_per_exponent():
+def _xor_of_monomial_traces(ctx, terms):
+    """The oracle of a trace row: XOR of Tr(coef * x^e) over the terms."""
+    bits = np.zeros(ctx.q, dtype=np.uint8)
+    for coef, e in terms:
+        bits ^= ctx.trace_bits(ctx.monomial_table(coef, e))
+    return bits
+
+
+def test_trace_row_allocates_little_and_caches_one_word_per_exponent_group():
     ctx = FieldCtx(15)
-    terms = [(0x1f3, 7), (3, 2), (0, 3), (9, 5)]  # a zero coef builds no power array
-    ctx.trace_row(terms)  # warm: x^7, x^2 and x^5 are built once, here
-    powers = ["x^2", "x^5", "x^7"]
-    assert sorted(ctx._tables) == ["dual", *powers]  # and the tables of dual
-    for name in powers:
-        (pw,) = ctx._tables[name]
-        assert pw.dtype == np.uint32 and pw.shape == (ctx.q,)
+    terms = [(0x1f3, 7), (3, 2), (0, 3), (9, 5)]  # 64 // 15 = 4 exponents to a word
+    ctx.trace_row(terms)  # warm: the word of x^7, x^2, x^3 and x^5 is built once, here
+    assert sorted(ctx._tables) == ["dual", "x^7,2,3,5"]  # and the tables of dual
+    (word,) = ctx._tables["x^7,2,3,5"]
+    assert word.dtype == np.uint64 and word.shape == (ctx.q,)
+    x = np.arange(ctx.q)
+    for i, e in enumerate((7, 2, 3, 5)):  # a zero coef keeps its slot
+        np.testing.assert_array_equal((word >> np.uint64(15 * i)) & np.uint64(ctx.q - 1),
+                                      ctx.vterm(1, x, e))
     tracemalloc.start()
     try:
         ctx.trace_row(terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # an accumulator and a reused temporary (4q bytes each), then the uint8 row
+    # the masked word (8q bytes), then the uint8 row
     assert peak <= 10 * ctx.q
-    assert sorted(ctx._tables) == ["dual", *powers]
+    assert ctx.table("x^7,2,3,5", None)[0] is word  # built once
+    assert sorted(ctx._tables) == ["dual", "x^7,2,3,5"]
+    # a group that fits in 32 bits is stored as uint32: x^7 alone, as the
+    # auxiliary curve's S7 sum reads it
+    np.testing.assert_array_equal(ctx.trace_row([(0x1f3, 7)]),
+                                  _xor_of_monomial_traces(ctx, [(0x1f3, 7)]))
+    assert ctx._tables["x^7"][0].dtype == np.uint32
+
+
+# the rows a packing splits over words: (m, terms, the words built and their dtypes)
+WORD_SPLITS = [
+    # s = 4 at m = 11: six exponents, five to a word; b_1 = 0 inside the first
+    (11, [(0x5f, 7), (0x3, 2), (0, 3), (0x41, 5), (0x7, 9), (0x2a, 17)],
+     {"x^7,2,3,5,9": np.uint64, "x^17": np.uint32}),
+    # s = 2 at m = 17 and m = 20: three exponents to a word, x^5 alone in the second
+    (17, [(0x1f3, 7), (0x3, 2), (0x5, 3), (0x9, 5)],
+     {"x^7,2,3": np.uint64, "x^5": np.uint32}),
+    (20, [(0x1f3, 7), (0x3, 2), (0x5, 3), (0x9, 5)],
+     {"x^7,2,3": np.uint64, "x^5": np.uint32}),
+    # zero coefs inside a word, and a word whose every coef is 0 is never built
+    (17, [(0x1f3, 7), (0, 2), (0x5, 3), (0, 5)], {"x^7,2,3": np.uint64}),
+    (20, [(0, 7), (0, 2), (0, 3), (0x9, 5)], {"x^5": np.uint32}),
+]
+
+
+@pytest.mark.parametrize("m,terms,words", WORD_SPLITS,
+                         ids=[f"m{m}-{'-'.join(str(c) for c, _ in t)}" for m, t, _ in WORD_SPLITS])
+def test_packed_rows_across_word_boundaries(m, terms, words):
+    ctx = FieldCtx(m)
+    np.testing.assert_array_equal(ctx.trace_row(terms), _xor_of_monomial_traces(ctx, terms))
+    assert {name: arrays[0].dtype for name, arrays in ctx._tables.items()
+            if name.startswith("x^")} == words
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.tuples(st.integers(0, (1 << m) - 1), st.integers(1, 2 << m)),
+    min_size=1, max_size=2 * (64 // m) + 1))))
+@example((2, [(1, 1)] * 33))  # 32 exponents to a word at m = 2: the 33rd starts a second
+@example((12, [(0, 3), (0, 5)]))  # every coef 0: the zero row
+def test_trace_row_of_many_terms_is_the_xor_of_their_traces(case):
+    m, terms = case
+    ctx = field(m)
+    np.testing.assert_array_equal(ctx.trace_row(terms), _xor_of_monomial_traces(ctx, terms))
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -326,16 +379,18 @@ def test_tables_are_read_only(capsys):
     g2_tables = (*ctx.table("genus2.radicals", genus2._radical_table),
                  *ctx.table("genus2.sequences", genus2._sequence_tables))
     assert ctx.table("genus2.radicals", None)[0] is g2_tables[0]  # built once
-    for table in (ctx._exp, ctx._log, ctx._power(3), *g2_tables):
+    words = (ctx._power_word((3,)), ctx._power_word((7, 2, 3, 5, 9, 17, 33)))
+    assert [w.dtype for w in words] == [np.uint32, np.uint64]  # 5 and 35 bits
+    for table in (ctx._exp, ctx._log, *words, *g2_tables):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
     # every array a verify derives from the field sits in the one store,
-    # ``table``: power arrays, linear maps, radicals, sequences and starts
+    # ``table``: packed power words, linear maps, radicals, sequences and starts
     cli._field.cache_clear()  # no entry left by an earlier command
     assert cli.main(["verify", "--m", "9", "--count", "2", "--s", "2"]) == 0
     capsys.readouterr()
     ctx = cli._field(9, default_modulus(9))
-    assert {"x^7", "dual", "square", "fourth", "quartic",
+    assert {"x^7,2,3,5", "dual", "square", "fourth", "quartic",
             "genus2.radicals", "genus2.sequences"} <= set(ctx._tables)
     assert all(name.startswith(("x^", "genus2.")) or name in _LINEAR_MAPS
                for name in ctx._tables)

@@ -1,6 +1,7 @@
 import glob
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
 import walshforge.spectrum as spectrum
-from walshforge.spectrum import (amplitude_counts, divisibility_check, fwht, l4_fourth, linf,
-                                 nonlinearity, parseval_ok, parseval_sum)
+from walshforge.spectrum import (amplitude_counts, divisibility_check, fwht, fwht_f32, l4_fourth,
+                                 linf, nonlinearity, parseval_ok, parseval_sum)
 
 
 def walsh_double_sum(table, v):
@@ -161,6 +162,58 @@ def test_fwht_is_exact_at_the_largest_field():
     assert l4_fourth(spec) == 2**60
     counts = amplitude_counts(spec)
     assert parseval_sum(spec, counts) == 2**40 and l4_fourth(spec, counts) == 2**60
+
+
+def assert_counts_on_both_transforms(table):
+    """amplitude_counts on the int32 fwht and, in place, on the float32
+    transform the spectrum route reads, against np.bincount of |fwht|."""
+    ref = np.bincount(np.abs(fwht(table))).tolist()
+    spec = fwht(table)
+    assert amplitude_counts(spec).tolist() == ref
+    np.testing.assert_array_equal(spec, fwht(table))  # a copy is sorted, not spec
+    f = fwht_f32(table)
+    assert f.dtype == np.float32 and f.flags.c_contiguous and f.shape == table.shape
+    np.testing.assert_array_equal(f, spec)  # exact: the int32 spectrum is its cast
+    assert amplitude_counts(f, overwrite=True).tolist() == ref
+    assert f[0] >= 0 and (f[1:] >= f[:-1]).all()  # now the sorted amplitudes
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_amplitude_counts_match_bincount_on_random_tables(m):
+    rng = np.random.default_rng(100 + m)
+    for density in (0.05, 0.5):  # many distinct amplitudes, then few
+        assert_counts_on_both_transforms((rng.random(1 << m) < density).astype(np.uint8))
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_amplitude_counts_of_constant_tables(m):
+    # |spec[0]| = q = 2^20 at the top: the largest amplitude any table reaches
+    for bit in (0, 1):
+        assert_counts_on_both_transforms(np.full(1 << m, bit, dtype=np.uint8))
+
+
+def test_spectral_route_allocates_few_whole_field_arrays():
+    # one G's truth table, float32 transform and amplitude histogram at m = 15,
+    # as scan runs them; more whole-field temporaries per G would put the scan
+    # where glibc trims the heap after each G and faults it in again for the next
+    ctx = FieldCtx(15)
+    g = TracePoly(0x1f3, (0x3, 0x5, 0x9))
+
+    def route():
+        return amplitude_counts(fwht_f32(truth_table(ctx, g)), overwrite=True)
+
+    route()  # warm: the packed power word, the tables of dual, the Hadamard factors
+    tracemalloc.start()
+    try:
+        counts = route()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == np.bincount(np.abs(fwht(truth_table(ctx, g)))).tolist()
+    # the masked power word (8q bytes) and the uint8 row; then the row, the
+    # float32 signs and one product (4q each); the histogram sorts in place.
+    # An int32 spectrum, its |spec| and bincount's int64 copy read 16q.
+    assert peak <= 10 * ctx.q
 
 
 def test_parseval_sum_is_exact_past_int64():
