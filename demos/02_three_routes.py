@@ -10,8 +10,9 @@ consistency argument of this package.
 
 from collections import Counter
 
-from walshforge import (FieldCtx, TracePoly, classify_all, count_n0_n, fwht, l4_fourth,
-                        sigma_autocorr, sigma_decomposition, truth_table, x_alpha_all)
+from walshforge import (FieldCtx, TracePoly, amplitude_counts, classify_all, count_n0_n, fwht,
+                        l4_fourth, sigma_autocorr, sigma_decomposition, truth_table,
+                        x_alpha_all)
 
 ctx = FieldCtx(7)
 g = TracePoly(a7=0x5, b=(0x1, 0x4))
@@ -20,8 +21,8 @@ q = ctx.q
 # routes 1 and 2 read the same truth table bits[x] = Tr(G(x))
 bits = truth_table(ctx, g)
 
-# route 1: spectral
-sigma_spectral = l4_fourth(fwht(bits))
+# route 1: spectral, read from the histogram of Walsh amplitudes
+sigma_spectral = l4_fourth(amplitude_counts(fwht(bits)))
 
 # route 2: direct shift sums (no transform involved)
 table = x_alpha_all(ctx, bits)

@@ -22,7 +22,7 @@ not part of this API.
 from .field import FieldCtx, default_modulus
 from .rng import SplitRng, derive_seed
 from .boolfn import TracePoly, reduce_difference_all, truth_table
-from .spectrum import fwht, l4_fourth, linf, nonlinearity
+from .spectrum import amplitude_counts, fwht, l4_fourth, linf, nonlinearity
 from .autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from .genus2 import (QuinticCurve, classify, classify_curves, count_points, count_points_all,
                      radical)
@@ -31,13 +31,13 @@ from .auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from .corpus import curve_corpus, sample_curve, sample_tracepoly, standard_corpus
 from .report import Check, Report, compare, slack_bound
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "FieldCtx", "default_modulus",
     "SplitRng", "derive_seed",
     "TracePoly", "reduce_difference_all", "truth_table",
-    "fwht", "l4_fourth", "linf", "nonlinearity",
+    "amplitude_counts", "fwht", "l4_fourth", "linf", "nonlinearity",
     "sigma_autocorr", "sigma_decomposition", "x_alpha_all",
     "QuinticCurve", "classify", "classify_curves", "count_points", "count_points_all",
     "radical",

@@ -2,9 +2,12 @@
 
 X_alpha = (sum_x (-1)^(Tr(G(x) + G(x+alpha))))^2.  The sums here are direct
 counts over the truth table, never through the Walsh transform, so that
-q^2 + sum_alpha X_alpha = l4_fourth(fwht(table)) stays a genuine cross-check
-between two independent computation paths.  The input is f's truth table,
-the output an int64 array indexed by alpha in [0, q), entry 0 set to 0.
+
+    q^2 + sum_alpha X_alpha = l4_fourth(amplitude_counts(fwht(table)))
+
+stays a genuine cross-check between two independent computation paths.  The
+input is f's truth table, the output an int64 array indexed by alpha in
+[0, q), entry 0 set to 0.
 
 ``x_alpha_all`` counts the mismatches of f(x) and f(x + alpha) for every
 alpha on the truth table packed 64 x to a uint64 word.  With

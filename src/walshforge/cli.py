@@ -40,7 +40,7 @@ from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
 from .field import MAX_M, FieldCtx, default_modulus
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
-from .spectrum import amplitude_counts, fwht_f32, l4_fourth, nonlinearity, parseval_sum
+from .spectrum import amplitude_counts, fwht, l4_fourth, linf, nonlinearity, parseval_sum
 from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (_odd_m_bound, check_linf_lower, check_linf_upper, check_sigma_bound,
                         classify_all, count_n0_n, eta_all)
@@ -157,13 +157,10 @@ def _tagged(checks: list[Check], i: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 # report sections: each returns (summary row, checks) for one G
 
-def _spectrum_section(ctx, g, spec, bounds: bool):
-    # spec is the route's own float32 transform: its amplitudes are sorted in
-    # place, and only its length is read after that
-    counts = amplitude_counts(spec, overwrite=True)
-    lv, sigma = len(counts) - 1, l4_fourth(spec, counts)  # counts runs 0..linf
-    row = {"linf": lv, "nl": nonlinearity(spec, lv), "sigma4_spectrum": sigma}
-    checks = [compare("parseval", parseval_sum(spec, counts), "==", ctx.q * ctx.q)]
+def _spectrum_section(ctx, g, counts, bounds: bool):
+    lv, sigma = linf(counts), l4_fourth(counts)
+    row = {"linf": lv, "nl": nonlinearity(counts), "sigma4_spectrum": sigma}
+    checks = [compare("parseval", parseval_sum(counts), "==", ctx.q * ctx.q)]
     if bounds:
         divisor = 1 << -(-ctx.m // 3)  # 2^ceil(m/d) for binary degree d = 3
         checks += [compare("walsh_divisibility", lv % divisor, "==", 0,
@@ -268,7 +265,7 @@ def _run_routes(ctx, g, routes, note: str = ""):
     bits = truth_table(ctx, g) if spectral or with_table else None
     arrays = {"table": x_alpha_all(ctx, bits) if with_table else None}
     if spectral:
-        add(_spectrum_section(ctx, g, fwht_f32(bits), "bounds" in routes))
+        add(_spectrum_section(ctx, g, amplitude_counts(fwht(bits)), "bounds" in routes))
     if "autocorr" in routes:
         add(_autocorr_section(ctx, arrays["table"], summary.get("sigma4_spectrum")))
     if "predictor" in routes:

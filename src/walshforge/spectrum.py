@@ -1,6 +1,6 @@
-"""Walsh transform of a truth table, spectral norms, and their sanity checks.
+"""Walsh transform of a truth table, and the norms read from its amplitude histogram.
 
-The transform, an int32 array of length q = 2^m, pairs points with the
+The transform, a float32 array of length q = 2^m, pairs points with the
 coordinate dot product: with chi(x) = (-1)^bits[x],
 
     spec[v] = sum_x chi(x) * (-1)^parity(v & x).
@@ -9,20 +9,23 @@ The trace pairing Tr(v*x) differs from parity(v & x) by a linear change of
 basis that only permutes the index v, so every norm is the same under either
 convention (asserted by a test, not assumed).
 
-``fwht_f32`` computes it as r <= ceil(m/5) float32 matrix products with
-cached Sylvester factors of order at most 32 (exact for q <= 2^24, see its
-docstring), and ``fwht`` is that array cast to int32.  Each product runs in
-blocks, every sgemm of at most ``GEMM_MACS`` = 2^18 multiply-adds: OpenBLAS
-runs a gemm that small on the calling thread (its rule is m*n*k <=
-SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65536 * 4), so the
-transform never wakes a BLAS worker, whose busy-wait after each product
-would take a second CPU for no gain.
+``fwht`` computes it as r <= ceil(m/5) float32 matrix products with cached
+Sylvester factors of order at most 32, exact for q <= 2^24 (see its
+docstring).  Each product runs in blocks, every sgemm of at most
+``GEMM_MACS`` = 2^18 multiply-adds: OpenBLAS runs a gemm that small on the
+calling thread (its rule is m*n*k <= SMP_THRESHOLD_MIN *
+GEMM_MULTITHREAD_THRESHOLD = 65536 * 4), so the transform never wakes a BLAS
+worker, whose busy-wait after each product would take a second CPU for no
+gain.
 
-The spectrum route reads the float32 transform itself: ``amplitude_counts``
-takes |W| and sorts it in place, then measures each run of equal
-amplitudes, so the route makes no int32 spectrum and no int64 copy.  The
-sums over the spectrum that can pass int64 (``l4_fourth``,
-``parseval_sum``) are taken in Python ints over that amplitude histogram.
+Every norm depends on the spectrum only through its amplitude histogram
+counts[k] = #{v : |spec[v]| = k}, k in 0..linf: linf is its last index, q
+its sum, nl = q/2 - linf/2, and f is bent iff its one nonzero amplitude is
+2^(m/2).  ``amplitude_counts`` takes it by sorting |spec| in place, and each
+norm takes that int64 histogram and refuses a spectrum with ValueError.  The
+sums that can pass int64 are Python ints over its few nonzero entries:
+
+    sigma4 = l4_fourth(amplitude_counts(fwht(table))) = q^2 + sum_alpha X_alpha
 """
 
 from __future__ import annotations
@@ -59,14 +62,14 @@ def _factor_bits(m: int) -> tuple[int, ...]:
 
 def _sgemm(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x @ y over stacked matrices, one sgemm of x.shape[-2] * x.shape[-1] *
-    y.shape[-1] multiply-adds per pair: every product ``fwht_f32`` makes."""
+    y.shape[-1] multiply-adds per pair: every product ``fwht`` makes."""
     return np.matmul(x, y, out=out)
 
 
-def fwht_f32(table: np.ndarray) -> np.ndarray:
+def fwht(table: np.ndarray) -> np.ndarray:
     """Walsh transform of a 0/1 truth table as exact float32: a fresh
-    C-contiguous array the caller owns and may overwrite (the spectrum route
-    sorts its amplitudes in place, see :func:`amplitude_counts`).
+    C-contiguous array the caller owns (:func:`amplitude_counts` sorts it in
+    place).
 
     The Walsh matrix of order q = 2^m is the Kronecker product of small
     Sylvester matrices H_{2^k1} x ... x H_{2^kr} with k1 + ... + kr = m and
@@ -124,28 +127,11 @@ def fwht_f32(table: np.ndarray) -> np.ndarray:
     return a.reshape(q)
 
 
-def fwht(table: np.ndarray) -> np.ndarray:
-    """Walsh transform of a 0/1 truth table: the int32 spectrum, C-contiguous,
-    :func:`fwht_f32` cast exactly to int32.  Widen before squaring."""
-    return fwht_f32(table).astype(np.int32)
-
-
-def linf(spec: np.ndarray) -> int:
-    return int(np.abs(spec).max())
-
-
-def amplitude_counts(spec: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """counts[k] = how many v have |spec[v]| = k, for k in 0..linf(spec), as
-    ``np.bincount(np.abs(spec))`` gives them, for an int spectrum or the
-    exact float32 one of :func:`fwht_f32`.
-
-    |spec| is sorted once and each run of equal amplitudes is measured by one
-    binary search, so no int64 copy is made; a spectrum of this family has a
-    few distinct amplitudes, so that is a few steps.  With ``overwrite`` the
-    absolute value and the sort are taken in place in ``spec``, which then
-    holds the sorted amplitudes; otherwise on a copy.
-    """
-    a = np.abs(spec, out=spec if overwrite else None)
+def amplitude_counts(spec: np.ndarray) -> np.ndarray:
+    """The histogram ``np.bincount(np.abs(spec))``, with no int64 copy: |spec|
+    is sorted in place, so ``spec`` then holds the sorted amplitudes, and each
+    run of equal amplitudes (a few in this family) is one binary search."""
+    a = np.abs(spec, out=spec)
     a.sort()
     counts = np.zeros(int(a[-1]) + 1 if a.size else 0, dtype=np.int64)
     start = 0
@@ -156,49 +142,54 @@ def amplitude_counts(spec: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return counts
 
 
-def _power_sum(spec: np.ndarray, p: int, counts: np.ndarray | None) -> int:
+def _histogram(counts: np.ndarray) -> np.ndarray:
+    """``counts`` if it reads as an amplitude histogram, 1-d int64 with a
+    nonzero last entry (at linf); a float32 or int32 spectrum is refused."""
+    if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64
+            and counts.ndim == 1 and counts.size and counts[-1] > 0):
+        raise ValueError("a spectral norm takes the int64 histogram of amplitude_counts, "
+                         "not a spectrum")
+    return counts
+
+
+def linf(counts: np.ndarray) -> int:
+    return len(_histogram(counts)) - 1
+
+
+def _power_sum(counts: np.ndarray, p: int) -> int:
     """sum of |spec|^p in Python ints over the few distinct amplitudes, weighted
-    by how often each occurs: exact at any size, with no int64 copy.  The
-    nonzero amplitudes and their counts are read once, as Python ints."""
-    if counts is None:
-        counts = amplitude_counts(spec)
-    amps = np.flatnonzero(counts)
+    by how often each occurs: exact at any size.  The nonzero amplitudes and
+    their counts are read once, as Python ints."""
+    amps = np.flatnonzero(_histogram(counts))
     return sum(k ** p * n for k, n in zip(amps.tolist(), counts[amps].tolist()))
 
 
-def l4_fourth(spec: np.ndarray, counts: np.ndarray | None = None) -> int:
-    """(1/q) * sum of spec^4, exact (the sum reaches q^4, past int64).
-
-    Pass ``counts`` when ``amplitude_counts(spec)`` is already known.
-    """
-    q = len(spec)
-    total = _power_sum(spec, 4, counts)
+def l4_fourth(counts: np.ndarray) -> int:
+    """(1/q) * sum of spec^4, exact (the sum reaches q^4, past int64)."""
+    total = _power_sum(counts, 4)
+    q = int(counts.sum())
     if total % q:
         raise AssertionError("sum of fourth powers not divisible by q")
     return total // q
 
 
-def nonlinearity(spec: np.ndarray, lv: int | None = None) -> int:
-    """2^(m-1) - linf/2; pass ``lv`` when ``linf(spec)`` is already known."""
-    return len(spec) // 2 - (linf(spec) if lv is None else lv) // 2
+def nonlinearity(counts: np.ndarray) -> int:
+    """2^(m-1) - linf/2."""
+    lv = linf(counts)
+    return int(counts.sum()) // 2 - lv // 2
 
 
-def parseval_sum(spec: np.ndarray, counts: np.ndarray | None = None) -> int:
-    """sum of spec^2, which Parseval fixes at q^2.
-
-    Exact for any int array: one with |spec| <= q reaches q^3, past int64
-    from m = 21.
-
-    Pass ``counts`` when ``amplitude_counts(spec)`` is already known.
-    """
-    return _power_sum(spec, 2, counts)
+def parseval_sum(counts: np.ndarray) -> int:
+    """sum of spec^2, which Parseval fixes at q^2; exact, though amplitudes up
+    to q reach q^3, past int64 from m = 21."""
+    return _power_sum(counts, 2)
 
 
-def parseval_ok(spec: np.ndarray) -> bool:
-    return parseval_sum(spec) == len(spec) ** 2
+def parseval_ok(counts: np.ndarray) -> bool:
+    return parseval_sum(counts) == int(counts.sum()) ** 2
 
 
-def divisibility_check(spec: np.ndarray, d: int) -> dict:
+def divisibility_check(counts: np.ndarray, d: int) -> dict:
     """Whether 2^ceil(m/d) divides the max amplitude.
 
     Per-value divisibility over the whole spectrum is reported as
@@ -207,12 +198,12 @@ def divisibility_check(spec: np.ndarray, d: int) -> dict:
     """
     if d < 1:
         raise ValueError("binary degree d must be >= 1")
-    m = len(spec).bit_length() - 1
+    lv = linf(counts)
+    m = int(counts.sum()).bit_length() - 1
     divisor = 1 << (-(-m // d))
-    lv = linf(spec)
     return {
         "divisor": divisor,
         "linf": lv,
         "divides": lv % divisor == 0,
-        "all_values_divisible": bool((spec % divisor == 0).all()),
+        "all_values_divisible": bool((np.flatnonzero(counts) % divisor == 0).all()),
     }

@@ -13,6 +13,9 @@ compare the two.  None of them is part of the ``walshforge`` API.
   to the radical dimension w of a genus-2 curve in a = b normal form, checked
   against the kernel dimension of ``genus2.radical``.
 * ``mixed_corpus``: a corpus cycling through several quadratic-part sizes.
+* ``other_modulus`` and ``field_isomorphism``: a second modulus of GF(2^m)
+  and the map between the two fields, built from shift-xor products alone,
+  which every route's result must follow.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from walshforge.auxcurve import gamma_of
 from walshforge.boolfn import TracePoly
 from walshforge.corpus import sample_tracepoly
-from walshforge.field import FieldCtx
+from walshforge.field import FieldCtx, is_irreducible
 from walshforge.genus2 import QuinticCurve
 from walshforge.rng import SplitRng, derive_seed
 
@@ -105,3 +108,28 @@ def mixed_corpus(q: int, count: int, s_values: tuple[int, ...], seed: int) -> li
     return [sample_tracepoly(SplitRng(derive_seed(seed, q, s_values[i % len(s_values)], i)),
                              q, s_values[i % len(s_values)])
             for i in range(count)]
+
+
+def other_modulus(m: int) -> int:
+    """The largest irreducible degree-m bitmask (``default_modulus`` is the least)."""
+    return next(f for f in range((2 << m) - 1, 1 << m, -2) if is_irreducible(f))
+
+
+def field_isomorphism(ctx1: FieldCtx, ctx2: FieldCtx) -> np.ndarray:
+    """phi[x] for every x of ctx1's field: the isomorphism onto ctx2's field
+    (same m, another modulus) sending x = sum of x_k X^k to sum of x_k z^k,
+    z the least root of ctx1's modulus among ctx2's elements.  Found and
+    built by shift-xor products alone, so it reads neither context's tables."""
+    def modulus_at(z: int) -> int:  # Horner, in ctx2
+        v = 0
+        for k in range(ctx1.m, -1, -1):
+            v = ctx2.mul_raw(v, z) ^ (ctx1.modulus >> k & 1)
+        return v
+
+    z = next(z for z in range(2, ctx2.q) if modulus_at(z) == 0)
+    x, zk = np.arange(ctx1.q), 1
+    phi = np.zeros(ctx1.q, dtype=np.int64)
+    for k in range(ctx1.m):
+        phi ^= np.where(x >> k & 1, zk, 0)
+        zk = ctx2.mul_raw(zk, z)
+    return phi

@@ -22,7 +22,7 @@ from walshforge.field import FieldCtx
 from walshforge.genus2 import classify, count_points, e_poly
 from walshforge.auxcurve import count_n123, enumerate_points, gamma_of, s7_sum
 from walshforge.rng import SplitRng
-from walshforge.spectrum import fwht, l4_fourth, linf
+from walshforge.spectrum import amplitude_counts, fwht, l4_fourth, linf
 
 from oracles import mixed_corpus, p_poly
 
@@ -57,11 +57,11 @@ def corpus_tables():
         entries = []
         for g in mixed_corpus(ctx.q, CORPUS_COUNT, (0, 1, 2, 3), CORPUS_SEED):
             bits = truth_table(ctx, g)
-            spec = fwht(bits)
+            counts = amplitude_counts(fwht(bits))
             entries.append({
                 "g": g,
-                "linf": linf(spec),
-                "sigma_spec": l4_fourth(spec),
+                "linf": linf(counts),
+                "sigma_spec": l4_fourth(counts),
                 "table": x_alpha_all(ctx, bits),
             })
         out[m] = {"ctx": ctx, "entries": entries,
@@ -78,8 +78,8 @@ def bound_corpus():
         for s in (0, 1, 2):
             rows = []
             for g in standard_corpus(ctx.q, 50, s, BOUND_SEED):
-                spec = fwht(truth_table(ctx, g))
-                rows.append((g, linf(spec), l4_fourth(spec)))
+                counts = amplitude_counts(fwht(truth_table(ctx, g)))
+                rows.append((g, linf(counts), l4_fourth(counts)))
             out[(m, s)] = (ctx, rows)
     return out
 
@@ -174,10 +174,10 @@ def test_06b_lower_bound_refined_m15(verdict):
     ctx = FieldCtx(15)
     g = TracePoly(a7=1)
     bits = truth_table(ctx, g)
-    spec = fwht(bits)
-    lv = linf(spec)
+    counts = amplitude_counts(fwht(bits))
+    lv = linf(counts)
     table = x_alpha_all(ctx, bits)
-    identity_ok = sigma_autocorr(table) == l4_fourth(spec)
+    identity_ok = sigma_autocorr(table) == l4_fourth(counts)
     mismatches = sum(1 for alpha in range(1, ctx.q)
                      if classify_alpha(ctx, g, alpha).predicted != int(table[alpha]))
     elapsed = time.monotonic() - t0

@@ -6,7 +6,7 @@ import pytest
 from walshforge.autocorr import sigma_autocorr, sigma_decomposition, x_alpha_all
 from walshforge.boolfn import TracePoly, eval_g, truth_table
 from walshforge.field import FieldCtx
-from walshforge.spectrum import fwht, l4_fourth
+from walshforge.spectrum import amplitude_counts, fwht, l4_fourth
 
 from oracles import x_alpha_from_bits
 
@@ -45,8 +45,7 @@ def test_sigma_matches_l4(ctx7):
         g = TracePoly(a7=a7, b=(2,))
         bits = truth_table(ctx7, g)
         table = x_alpha_all(ctx7, bits)
-        spec = fwht(bits)
-        assert sigma_autocorr(table) == l4_fourth(spec)
+        assert sigma_autocorr(table) == l4_fourth(amplitude_counts(fwht(bits)))
 
 
 def test_decomposition_identity(ctx7):

@@ -23,9 +23,9 @@ from walshforge.classify7 import classify_all, classify_alpha, count_n0_n, eta_a
 from walshforge.field import FieldCtx
 from walshforge.genus2 import (QuinticCurve, classify, classify_curves, count_points,
                                count_points_all)
-from walshforge.spectrum import amplitude_counts, fwht, linf
+from walshforge.spectrum import amplitude_counts, fwht, l4_fourth, linf, nonlinearity
 
-from oracles import x_alpha_from_bits
+from oracles import field_isomorphism, other_modulus, x_alpha_from_bits
 
 CTX = {m: FieldCtx(m) for m in range(3, 12)}
 CTX_13 = FieldCtx(13)
@@ -424,10 +424,10 @@ def test_routes_relabel_under_scaling_and_frobenius(m, data):
         return bits, x_alpha_all(ctx, bits), *(np.concatenate([[0], s]) for s in per_shift)
 
     def sums(h):
-        spec = fwht(truth_table(ctx, h))
+        counts = amplitude_counts(fwht(truth_table(ctx, h)))
         counted = count_n123(ctx, h, enumerate_points(ctx, gamma_of(ctx, h)),
                              classify_all(ctx, h).eta)
-        return (amplitude_counts(spec).tolist(), linf(spec),
+        return (counts.tolist(), linf(counts),
                 [counted[k] for k in ("N1", "N2", "N3", "N_assembled")])
 
     scaled = TracePoly(ctx.mul(g.a7, ctx.pow(t, 7)),
@@ -438,6 +438,38 @@ def test_routes_relabel_under_scaling_and_frobenius(m, data):
         assert at_t.tolist() == base[tx].tolist()
         assert at_sq[x2].tolist() == base.tolist()
     assert sums(g) == sums(scaled) == sums(squared)
+
+
+@pytest.mark.parametrize("m", range(5, 12))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_routes_relabel_under_a_change_of_modulus(m, data):
+    # GF(2^m) under two moduli is one field: phi, built from a root of the
+    # first modulus in the second field, sends G's truth table, X_alpha table
+    # and per-shift arrays at x or alpha to those of phi(G) at phi(x) or
+    # phi(alpha), and leaves the sums over the field alone.  A fault in the
+    # log tables, the generator or the dual columns that is consistent inside
+    # one field passes the scaling and Frobenius relabellings, but not this.
+    ctx, other = CTX[m], FieldCtx(m, other_modulus(m))
+    phi = field_isomorphism(ctx, other)
+    g = data.draw(tracepolys(m))
+
+    def arrays(field, h):
+        bits = truth_table(field, h)
+        a, b, c, d = reduce_difference_all(field, h)
+        per_shift = [count_points_all(field, a, b, c, d), classify_curves(field, a, b, c).w]
+        if m % 2:  # the predictor holds at odd m only
+            per_shift.append(classify_all(field, h).predicted)
+        return bits, x_alpha_all(field, bits), *(np.concatenate([[0], s]) for s in per_shift)
+
+    def sums(field, h):
+        counts = amplitude_counts(fwht(truth_table(field, h)))
+        return counts.tolist(), linf(counts), nonlinearity(counts), l4_fourth(counts)
+
+    h = TracePoly(int(phi[g.a7]), tuple(int(phi[bi]) for bi in g.b))
+    for base, moved in zip(arrays(ctx, g), arrays(other, h), strict=True):
+        assert moved[phi].tolist() == base.tolist()
+    assert sums(ctx, g) == sums(other, h)
 
 
 # -- packed popcount kernels -----------------------------------------------------

@@ -96,9 +96,9 @@ def test_count_n0_n_matches_decomposition(ctx7):
 
 
 def test_sigma_bound_checker_passes_true_values(ctx9):
-    from walshforge.spectrum import fwht, l4_fourth
+    from walshforge.spectrum import amplitude_counts, fwht, l4_fourth
     g = TracePoly(a7=2, b=(1, 1, 3))
-    chk = check_sigma_bound(ctx9, g, l4_fourth(fwht(truth_table(ctx9, g))))
+    chk = check_sigma_bound(ctx9, g, l4_fourth(amplitude_counts(fwht(truth_table(ctx9, g)))))
     assert chk.passed and chk.name == "sigma_deviation_bound"
 
 

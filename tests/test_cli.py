@@ -14,10 +14,13 @@ from hypothesis import given, settings, strategies as st
 import walshforge.autocorr as autocorr
 import walshforge.cli as cli
 import walshforge.genus2 as genus2
-from walshforge.boolfn import TracePoly, reduce_difference_all, tracepoly_from_json
+from walshforge.boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
+                               tracepoly_to_dict)
 from walshforge.classify7 import EVEN_M_NOTE, check_linf_lower, classify_all
 from walshforge.cli import SLOW_M, main
 from walshforge.field import FieldCtx, default_modulus
+
+from oracles import field_isomorphism, other_modulus
 
 
 def run(capsys, *argv):
@@ -281,7 +284,7 @@ NEGATIVE_CONTROLS = [
     ("enumerate_points", _fibre_dropped, {"aux_count_identity"}),
     ("count_n123", _n_fibre_dropped, {"aux_n_assembly"}),
     ("count_n123", _eta_zeroed, {"aux_n_assembly"}),
-    ("fwht_f32", _spectrum_moved, {"parseval", "sigma4_cross_path"}),
+    ("fwht", _spectrum_moved, {"parseval", "sigma4_cross_path"}),
 ]
 
 
@@ -781,6 +784,31 @@ def test_custom_modulus(capsys):
     # structural invariants agree across representations
     assert doc1["summary"]["nl"] == doc2["summary"]["nl"]
     assert doc1["summary"]["sigma4_spectrum"] == doc2["summary"]["sigma4_spectrum"]
+
+
+@pytest.mark.parametrize("m", range(5, 12))
+def test_analyze_summaries_agree_under_every_modulus(capsys, m):
+    # G under the default modulus and phi(G) under another are one function
+    # written in two bases, so every summary and check agrees; gamma, a field
+    # element, moves by phi, and the config echoes the other modulus and G
+    ctx, other = FieldCtx(m), FieldCtx(m, other_modulus(m))
+    phi = field_isomorphism(ctx, other)
+    checks = ",".join(cli.ALL_CHECKS) if m % 2 else "spectrum,bounds,genus2"
+    rng = np.random.default_rng(m)
+    for s in range(3):
+        g = TracePoly(int(rng.integers(1, ctx.q)), tuple(rng.integers(0, ctx.q, s + 1).tolist()))
+        h = TracePoly(int(phi[g.a7]), tuple(int(phi[bi]) for bi in g.b))
+        docs = [run_json(capsys, "analyze", "--m", str(m), "--modulus", hex(c.modulus),
+                         "--checks", checks, "--g", json.dumps(tracepoly_to_dict(f)))
+                for c, f in ((ctx, g), (other, h))]
+        (code, doc), (code_other, doc_other) = docs
+        assert code == code_other == 0
+        assert doc_other["config"]["g"] == tracepoly_to_dict(h)
+        summary, summary_other = doc["summary"], doc_other["summary"]
+        if m % 2:
+            assert int(summary_other.pop("gamma"), 16) == phi[int(summary.pop("gamma"), 16)]
+        assert summary_other == summary
+        assert doc_other["checks"] == doc["checks"]
 
 
 def test_negative_modulus_exits_2_without_hanging():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from walshforge.boolfn import TracePoly, truth_table
 from walshforge.field import FieldCtx
 import walshforge.spectrum as spectrum
-from walshforge.spectrum import (amplitude_counts, divisibility_check, fwht, fwht_f32, l4_fourth,
-                                 linf, nonlinearity, parseval_ok, parseval_sum)
+from walshforge.spectrum import (amplitude_counts, divisibility_check, fwht, l4_fourth, linf,
+                                 nonlinearity, parseval_ok, parseval_sum)
 
 
 def walsh_double_sum(table, v):
@@ -38,8 +38,8 @@ def fwht_stages(table):
     return a.reshape(q)
 
 
-def assert_int32_spectrum(spec, q):
-    assert isinstance(spec, np.ndarray) and spec.dtype == np.int32 and spec.shape == (q,)
+def assert_float32_spectrum(spec, q):
+    assert isinstance(spec, np.ndarray) and spec.dtype == np.float32 and spec.shape == (q,)
     assert spec.flags.c_contiguous
 
 
@@ -48,7 +48,7 @@ def test_fwht_matches_stage_by_stage_reference(m, seed, density):
     # m = 0 is one factor H_1; m <= 5 one factor; 6..10 two; 11..12 three
     table = (np.random.default_rng(seed).random(1 << m) < density).astype(np.uint8)
     spec = fwht(table)
-    assert_int32_spectrum(spec, 1 << m)
+    assert_float32_spectrum(spec, 1 << m)
     np.testing.assert_array_equal(spec, fwht_stages(table))
 
 
@@ -57,7 +57,7 @@ def test_fwht_matches_reference_at_every_large_split(m):
     # every factor split above the Hypothesis range: [5,4,4] .. [5,5,5,5]
     table = (np.random.default_rng(m).random(1 << m) < 0.5).astype(np.uint8)
     spec = fwht(table)
-    assert_int32_spectrum(spec, 1 << m)
+    assert_float32_spectrum(spec, 1 << m)
     np.testing.assert_array_equal(spec, fwht_stages(table))
 
 
@@ -67,7 +67,7 @@ def test_fwht_of_constant_tables(m):
     q = 1 << m
     for bit, sign in ((0, 1), (1, -1)):
         spec = fwht(np.full(q, bit, dtype=np.uint8))
-        assert_int32_spectrum(spec, q)
+        assert_float32_spectrum(spec, q)
         assert int(spec[0]) == sign * q
         assert not spec[1:].any()
 
@@ -158,38 +158,31 @@ def test_fwht_is_exact_at_the_largest_field():
     # spec[0] = q = 2^20; its square and fourth power overflow int32 and int64
     spec = fwht(np.zeros(1 << 20, dtype=np.uint8))
     assert int(spec[0]) == 2**20
-    assert parseval_sum(spec) == 2**40
-    assert l4_fourth(spec) == 2**60
     counts = amplitude_counts(spec)
-    assert parseval_sum(spec, counts) == 2**40 and l4_fourth(spec, counts) == 2**60
+    assert parseval_sum(counts) == 2**40 and l4_fourth(counts) == 2**60
 
 
-def assert_counts_on_both_transforms(table):
-    """amplitude_counts on the int32 fwht and, in place, on the float32
-    transform the spectrum route reads, against np.bincount of |fwht|."""
-    ref = np.bincount(np.abs(fwht(table))).tolist()
+def assert_counts_match_bincount(table):
+    """amplitude_counts, in place on the float32 transform, against
+    np.bincount of the stage-by-stage reference's |spectrum|."""
+    ref = np.bincount(np.abs(fwht_stages(table))).tolist()
     spec = fwht(table)
     assert amplitude_counts(spec).tolist() == ref
-    np.testing.assert_array_equal(spec, fwht(table))  # a copy is sorted, not spec
-    f = fwht_f32(table)
-    assert f.dtype == np.float32 and f.flags.c_contiguous and f.shape == table.shape
-    np.testing.assert_array_equal(f, spec)  # exact: the int32 spectrum is its cast
-    assert amplitude_counts(f, overwrite=True).tolist() == ref
-    assert f[0] >= 0 and (f[1:] >= f[:-1]).all()  # now the sorted amplitudes
+    assert spec[0] >= 0 and (spec[1:] >= spec[:-1]).all()  # now the sorted amplitudes
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_amplitude_counts_match_bincount_on_random_tables(m):
     rng = np.random.default_rng(100 + m)
     for density in (0.05, 0.5):  # many distinct amplitudes, then few
-        assert_counts_on_both_transforms((rng.random(1 << m) < density).astype(np.uint8))
+        assert_counts_match_bincount((rng.random(1 << m) < density).astype(np.uint8))
 
 
 @pytest.mark.parametrize("m", range(21))
 def test_amplitude_counts_of_constant_tables(m):
     # |spec[0]| = q = 2^20 at the top: the largest amplitude any table reaches
     for bit in (0, 1):
-        assert_counts_on_both_transforms(np.full(1 << m, bit, dtype=np.uint8))
+        assert_counts_match_bincount(np.full(1 << m, bit, dtype=np.uint8))
 
 
 def test_spectral_route_allocates_few_whole_field_arrays():
@@ -200,7 +193,7 @@ def test_spectral_route_allocates_few_whole_field_arrays():
     g = TracePoly(0x1f3, (0x3, 0x5, 0x9))
 
     def route():
-        return amplitude_counts(fwht_f32(truth_table(ctx, g)), overwrite=True)
+        return amplitude_counts(fwht(truth_table(ctx, g)))
 
     route()  # warm: the packed power word, the tables of dual, the Hadamard factors
     tracemalloc.start()
@@ -209,27 +202,29 @@ def test_spectral_route_allocates_few_whole_field_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.tolist() == np.bincount(np.abs(fwht(truth_table(ctx, g)))).tolist()
+    assert counts.tolist() == np.bincount(np.abs(fwht_stages(truth_table(ctx, g)))).tolist()
     # the masked power word (8q bytes) and the uint8 row; then the row, the
     # float32 signs and one product (4q each); the histogram sorts in place.
-    # An int32 spectrum, its |spec| and bincount's int64 copy read 16q.
+    # An int32 copy of the spectrum, its |spec| and bincount's int64 copy read 16q.
     assert peak <= 10 * ctx.q
 
 
 def test_parseval_sum_is_exact_past_int64():
-    # not a spectrum: |spec| = q = 2^21 at every point, the q^3 = 2^63 worst
-    # case, which an int64 dot product wraps to a negative number
-    spec = np.full(1 << 21, -(1 << 21), dtype=np.int32)
-    assert parseval_sum(spec) == 2**63
+    # not a spectrum's histogram: |spec| = q = 2^21 at every point, the
+    # q^3 = 2^63 worst case, which an int64 dot product wraps to a negative number
+    counts = np.zeros((1 << 21) + 1, dtype=np.int64)
+    counts[-1] = 1 << 21
+    assert parseval_sum(counts) == 2**63
 
 
 def test_tr_x3_m3_spectrum(ctx3):
     tt = np.array([ctx3.trace(ctx3.pow(x, 3)) for x in range(8)], dtype=np.uint8)
     spec = fwht(tt)
-    assert linf(spec) == 4
-    assert nonlinearity(spec) == 2
-    assert l4_fourth(spec) == 128
     assert sorted(set(abs(int(v)) for v in spec)) == [0, 4]
+    counts = amplitude_counts(spec)
+    assert linf(counts) == 4
+    assert nonlinearity(counts) == 2
+    assert l4_fourth(counts) == 128
 
 
 @given(st.binary(min_size=16, max_size=16))
@@ -244,8 +239,8 @@ def test_fwht_matches_double_sum(blob):
 def test_parseval(blob):
     table = np.frombuffer(blob, dtype=np.uint8) & 1
     spec = fwht(table)
-    assert parseval_ok(spec)
     assert int((spec.astype(np.int64) ** 2).sum()) == 1024
+    assert parseval_ok(amplitude_counts(spec))
 
 
 def affine_distance_nl(table, m):
@@ -264,17 +259,15 @@ def test_nonlinearity_matches_affine_scan(m):
     ctx = FieldCtx(m)
     g = TracePoly(a7=1, b=(3,) if m > 3 else ())
     tt = truth_table(ctx, g)
-    spec = fwht(tt)
-    assert nonlinearity(spec) == affine_distance_nl(tt, m)
-    assert nonlinearity(spec, linf(spec)) == nonlinearity(spec)
+    assert nonlinearity(amplitude_counts(fwht(tt))) == affine_distance_nl(tt, m)
 
 
 def test_l4_bounds_on_corpus(ctx7):
     for a7 in (1, 2, 77, 126):
-        spec = fwht(truth_table(ctx7, TracePoly(a7=a7, b=(5,))))
-        s4 = l4_fourth(spec)
+        counts = amplitude_counts(fwht(truth_table(ctx7, TracePoly(a7=a7, b=(5,)))))
+        s4 = l4_fourth(counts)
         q = ctx7.q
-        assert s4 <= q * linf(spec) ** 2  # Cauchy-Schwarz via Parseval
+        assert s4 <= q * linf(counts) ** 2  # Cauchy-Schwarz via Parseval
         assert s4 > q * q  # strict for odd m: no bent functions exist
 
 
@@ -292,11 +285,27 @@ def test_m5_x7_value_multiset(ctx5):
 
 
 def test_divisibility_check(ctx9):
-    spec = fwht(truth_table(ctx9, TracePoly(a7=1)))
-    rep = divisibility_check(spec, 3)
+    rep = divisibility_check(amplitude_counts(fwht(truth_table(ctx9, TracePoly(a7=1)))), 3)
     assert rep["divisor"] == 2 ** 3  # ceil(9/3)
     assert rep["divides"]
     assert rep["all_values_divisible"]
+
+
+NORMS = [linf, nonlinearity, l4_fourth, parseval_sum, parseval_ok,
+         lambda counts: divisibility_check(counts, 3)]
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=["linf", "nonlinearity", "l4_fourth", "parseval_sum",
+                                             "parseval_ok", "divisibility_check"])
+def test_norms_refuse_a_spectrum(ctx5, norm):
+    # a spectrum read as a histogram gives a wrong number, not an error: the
+    # sum of counts^4 over "amplitudes" 0..linf is no sigma4
+    spec = fwht(truth_table(ctx5, TracePoly(a7=1)))
+    counts = amplitude_counts(spec.copy())
+    for wrong in (spec, spec.astype(np.int32), counts.astype(np.int32)):
+        with pytest.raises(ValueError, match="histogram of amplitude_counts"):
+            norm(wrong)
+    norm(counts)
 
 
 def test_fwht_rejects_bad_length():
