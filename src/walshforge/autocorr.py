@@ -24,6 +24,15 @@ only the words j whose bit t is clear, t the top bit of hi, are counted and
 the sum doubled, which halves the sweep; exactly one word of each pair has
 bit t clear.  The hi = 0 row (alpha < 64) pairs bits inside one word and is
 counted in full.
+
+The hi rows of one top bit t, h = 2^t <= hi < 2h, run in blocks of
+``TILE`` words or fewer (one row if a row alone holds more), all in one
+uint64 tile: block row i, lane lo, holds perm[lo][j] ^ words[j ^ (hi + i)]
+over the counted words j.  The first block of each h fills the tile; each
+later block XORs into it, in place, only the change of the moved words since
+the previous block, as XOR is its own inverse.  The bit counts of a block go
+to one uint8 buffer and are summed along each row in uint32, straight into
+the int64 count rows; the closing arithmetic runs in place on the counts.
 """
 
 from __future__ import annotations
@@ -33,12 +42,16 @@ import numpy as np
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
 X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
+TILE = 4 * BATCH  # uint64 words of the block tile: 256 KB, which stays in L2
+# (shift 2^b, the bits k whose bit b is clear) of the delta-swap b
+_SWAPS = [(np.uint64(1 << b), np.uint64((1 << 64) // ((1 << (1 << b)) + 1))) for b in range(6)]
 
 
 def x_alpha_all(ctx: FieldCtx, bits: np.ndarray) -> np.ndarray:
     """The X_alpha table of the truth table ``bits``, which it only reads; about
-    q^2 / 128 word operations, in blocks of whole 64-lane hi rows of at most
-    ``BATCH`` words, or one row if it holds more."""
+    q^2 / 128 word operations in blocks of whole 64-lane hi rows, each block
+    counted in one in-place tile of at most ``TILE`` words, or one row if a
+    row holds more."""
     if ctx.m > X_ALPHA_MAX_M:
         raise ValueError(f"full X_alpha table infeasible beyond m={X_ALPHA_MAX_M}")
     q = ctx.q
@@ -48,38 +61,46 @@ def x_alpha_all(ctx: FieldCtx, bits: np.ndarray) -> np.ndarray:
     # perm[lo] packs f(x + lo); perm[s + r] is perm[r] delta-swapped by s = 2^b
     perm = np.empty((lanes, n_words), dtype=np.uint64)
     perm[0] = words
-    for b in range(lanes.bit_length() - 1):
-        s = 1 << b
-        mask = (1 << 64) // ((1 << s) + 1)  # the bits k whose bit b is clear
-        perm[s:2 * s] = ((perm[:s] & mask) << s) | ((perm[:s] >> s) & mask)
+    for s, mask in _SWAPS[:lanes.bit_length() - 1]:
+        swapped = perm[s:2 * s]
+        np.bitwise_and(perm[:s], mask, out=swapped)
+        swapped <<= s
+        swapped |= (perm[:s] >> s) & mask
     # mism[hi, lo] = sum_j popcount(words[j ^ hi] ^ perm[lo][j]) for
     # alpha = 64*hi + lo; for hi in [h, 2h) only the words j with j & h = 0
     # are counted, and the count doubled at the end
     mism = np.empty((n_words, lanes), dtype=np.int64)
     mism[0] = popcount(words ^ perm)
-    # one set of block buffers for every h: the perm rows tiled over a block's
-    # hi rows, their XOR with the moved words and its bit counts
     half = (n_words + 1) // 2  # the words j with j & h = 0, for every h
-    block = min(half, max(1, BATCH // (lanes * half)))  # hi rows per block; h <= half
-    tile_buf, diff_buf = np.empty((2, lanes * block * half), dtype=np.uint64)
-    count_buf = np.empty(lanes * block * half, dtype=np.uint8)
+    block = min(half, max(1, TILE // (lanes * half)))  # hi rows per block; h <= half
+    tile_buf = np.empty(block * lanes * half, dtype=np.uint64)
+    count_buf = np.empty(block * lanes * half, dtype=np.uint8)
     w = np.arange(n_words)
     for h in (1 << t for t in range(n_words.bit_length() - 1)):
         j = w.reshape(-1, 2, h)[:, 0].ravel()
-        rows = min(h, block)
-        tile = tile_buf[:lanes * rows * half].reshape(lanes, rows, half)
-        tile[...] = perm[:, None, j]
+        rows = min(h, block)  # every block of a group but its last is full
+        tile, count = (buf[:rows * lanes * half].reshape(rows, lanes, half)
+                       for buf in (tile_buf, count_buf))
         for hi in range(h, 2 * h, rows):
-            r = min(rows, 2 * h - hi)  # the last block may be partial
-            n, shape = lanes * r * half, (lanes, r, half)
-            moved = words[np.arange(hi, hi + r)[:, None] ^ j]  # broadcast over the lanes
-            diff = np.bitwise_xor(tile[:, :r], moved, out=diff_buf[:n].reshape(shape))
-            counts = np.bitwise_count(diff, out=count_buf[:n].reshape(shape))
-            mism[hi:hi + r] = counts.sum(axis=-1, dtype=np.uint32).T
-    mism[1:] *= 2
-    signed = q - 2 * mism.ravel()
-    signed[0] = 0
-    return signed * signed
+            r = min(rows, 2 * h - hi)
+            moved = words[np.arange(hi, hi + r)[:, None, None] ^ j]  # broadcast over the lanes
+            if hi == h:  # perm[lo][j] into the first row; "clip" (j is in range) buffers nothing
+                np.take(perm, j, axis=1, out=tile[0], mode="clip")
+                np.bitwise_xor(tile[0], moved[1:], out=tile[1:])
+                tile[0] ^= moved[0]
+            else:  # the change of the moved words since the previous block
+                last[:r] ^= moved
+                tile[:r] ^= last[:r]
+            last = moved
+            np.bitwise_count(tile[:r], out=count[:r])
+            count[:r].sum(axis=-1, dtype=np.uint32, out=mism[hi:hi + r])
+    # X_alpha = (q - 2 * mism)^2 in place, the hi >= 1 counts doubled
+    mism[0] *= -2
+    mism[1:] *= -4
+    mism += q
+    mism[0, 0] = 0
+    np.multiply(mism, mism, out=mism)
+    return mism.ravel()
 
 
 def sigma_autocorr(table: np.ndarray) -> int:

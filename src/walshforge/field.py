@@ -313,10 +313,10 @@ class FieldCtx:
             exp = np.concatenate([exp, self._vmul_raw(exp, gn)])
             gn = self.mul_raw(gn, gn)
         exp = exp[:n_el]
-        if self.mul_raw(int(exp[-1]), g) != 1:
-            raise AssertionError("generator order mismatch")
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(n_el)
+        if not np.array_equal(log[exp], np.arange(n_el)):  # a repeated power
+            raise AssertionError(f"{g:#x} is not a generator: its powers repeat before q - 1")
         log[0] = -self.q  # poison: any use of log[0] lands far out of range
         self._exp = _frozen(np.concatenate([exp, exp]))  # doubled: exp[i+j] needs no reduction
         self._log = _frozen(log)

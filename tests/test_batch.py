@@ -29,6 +29,7 @@ from oracles import field_isomorphism, other_modulus, x_alpha_from_bits
 
 CTX = {m: FieldCtx(m) for m in range(3, 12)}
 CTX_13 = FieldCtx(13)
+CTX_15 = FieldCtx(15)
 SLOW = settings(max_examples=12, deadline=None)
 
 
@@ -269,8 +270,9 @@ def test_curve_arrays_match_scalar_on_arbitrary_curves(mcs):
 
 
 def test_count_blocks_split_the_x_range(monkeypatch):
-    # with a cap below the q / 2 words of one X_alpha hi row each block holds
-    # one row, and the curves are counted a few rows at a time
+    # with caps below the 64 words of one X_alpha hi row and the q / 2 words of
+    # one curve row each block holds one row, and the curves are counted a few
+    # rows at a time
     ctx = CTX[7]
     g = TracePoly(5, (3, 0, 9))
     a, b, c, d = reduce_difference_all(ctx, g)
@@ -279,7 +281,7 @@ def test_count_blocks_split_the_x_range(monkeypatch):
     table = x_alpha_all(ctx, bits)
     monkeypatch.setattr(field, "BATCH", 50)
     monkeypatch.setattr(genus2, "BATCH", 50)
-    monkeypatch.setattr(autocorr, "BATCH", 50)
+    monkeypatch.setattr(autocorr, "TILE", 50)
     assert x_alpha_all(ctx, bits).tolist() == table.tolist()
     assert count_points_all(ctx, a, b, c, d).tolist() == full.tolist()
 
@@ -378,6 +380,20 @@ def test_x_alpha_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_x_alpha_holds_one_block_buffer():
+    # at m = 15 the in-word permutations, the counts and the tile are 8q bytes
+    # each; a second tile-sized block buffer would add 8q more
+    ctx = CTX_15
+    bits = truth_table(ctx, TracePoly(0x155, (3, 0, 9)))
+    tracemalloc.start()
+    try:
+        x_alpha_all(ctx, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * ctx.q
 
 
 def test_c_spelling_disagreement_is_caught(monkeypatch):
@@ -497,36 +513,62 @@ def test_packed_x_alpha_matches_scalar_on_every_alpha(m, data):
     assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
 
 
-@pytest.mark.parametrize("batch", [
-    pytest.param(1, id="one-row-per-block"),
-    # a row holds q / 2 = 256 words, so group h = 4 runs hi blocks [4, 7) and [7, 8)
-    pytest.param(768, id="partial-last-block")])
-def test_x_alpha_blocks_of_whole_rows_match_scalar(monkeypatch, batch):
-    ctx = CTX[9]
+# A hi row holds 64 * half words, half = q / 128: 256 at m = 9, 1024 at m = 11.
+@pytest.mark.parametrize("m, rows", [
+    pytest.param(9, 1, id="one-row-per-block"),
+    # group h = 4 runs hi blocks [4, 7) and [7, 8): the last block partial,
+    # its moved words XORed against those of the block before
+    pytest.param(9, 3, id="partial-last-block"),
+    pytest.param(9, 4, id="one-block-per-group"),
+    pytest.param(11, 1, id="m11-one-row-per-block"),
+    pytest.param(11, 3, id="m11-partial-last-block"),
+    pytest.param(11, 16, id="m11-one-block-per-group")])
+def test_x_alpha_blocks_of_whole_rows_match_scalar(monkeypatch, m, rows):
+    ctx = CTX[m]
     g = TracePoly(0x155, (3, 0, 9))
     bits = truth_table(ctx, g)
-    monkeypatch.setattr(autocorr, "BATCH", batch)
+    monkeypatch.setattr(autocorr, "TILE", rows * ctx.q // 2)
     table = x_alpha_all(ctx, bits)
     assert table[1:].tolist() == [x_alpha_from_bits(bits, a) for a in range(1, ctx.q)]
 
 
-# At m = 13 the word shift hi = alpha // 64 has seven top bits t = 0..6 (128
-# words), so the doubled half-counts run on every word-pairing block.
-_RNG_13 = np.random.default_rng(13)
-ALPHAS_13 = np.concatenate([np.arange(1, 64)] + [
-    64 * _RNG_13.integers(1 << t, 2 << t, size=57) + _RNG_13.integers(0, 64, size=57)
-    for t in range(7)])
+def sample_alphas(m, per_group, seed):
+    """Every alpha < 64 and ``per_group`` alphas from each top-bit group of
+    the word shift hi = alpha // 64."""
+    rng = np.random.default_rng(seed)
+    groups = m - 6  # hi < 2^(m - 6) has top bits t = 0 .. m - 7
+    alphas = np.concatenate([np.arange(1, 64)] + [
+        64 * rng.integers(1 << t, 2 << t, size=per_group) + rng.integers(0, 64, size=per_group)
+        for t in range(groups)])
+    assert {int(a // 64).bit_length() - 1 for a in alphas if a >= 64} == set(range(groups))
+    return alphas
+
+
+def assert_sampled_x_alpha_match_scalar(ctx, bits, alphas):
+    table = x_alpha_all(ctx, bits)
+    assert [int(table[a]) for a in alphas] == [x_alpha_from_bits(bits, int(a)) for a in alphas]
+
+
+# At m = 13 a tile holds 8 hi rows and at m = 15 two, so the doubled
+# half-counts run on every word-pairing group, in blocks of several rows.
+ALPHAS = {13: sample_alphas(13, 57, 13), 15: sample_alphas(15, 24, 15)}
 
 
 @settings(max_examples=3, deadline=None)
-@given(g=tracepolys(13))
-def test_packed_x_alpha_matches_scalar_on_every_top_bit_block(g):
-    ctx = CTX_13
-    bits = truth_table(ctx, g)
-    table = x_alpha_all(ctx, bits)
-    assert {int(a // 64).bit_length() - 1 for a in ALPHAS_13 if a >= 64} == set(range(7))
-    assert [int(table[a]) for a in ALPHAS_13] == [x_alpha_from_bits(bits, int(a))
-                                                    for a in ALPHAS_13]
+@given(data=st.data())
+def test_packed_x_alpha_matches_scalar_on_every_top_bit_block(data):
+    for ctx in (CTX_13, CTX_15):
+        bits = truth_table(ctx, data.draw(tracepolys(ctx.m)))
+        assert_sampled_x_alpha_match_scalar(ctx, bits, ALPHAS[ctx.m])
+
+
+@pytest.mark.slow
+def test_packed_x_alpha_matches_scalar_at_the_largest_field():
+    # at m = 17 a hi row (65536 words) is larger than a tile, so every block
+    # is one row, and the group of top bit 10 runs 1024 of them
+    ctx = FieldCtx(17)
+    g = TracePoly(0x1f3, (0x3, 0x5, 0x9))
+    assert_sampled_x_alpha_match_scalar(ctx, truth_table(ctx, g), sample_alphas(17, 12, 17))
 
 
 @pytest.mark.parametrize("m", PACKED_M)

@@ -32,6 +32,14 @@ def test_default_moduli_table():
         assert is_irreducible(default_modulus(m))
 
 
+@pytest.mark.parametrize("e", [3, 7, 9, 21])  # g^e has order 63 / e
+def test_a_generator_whose_powers_repeat_is_refused(monkeypatch, e):
+    ctx = FieldCtx(6)
+    monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: ctx.pow(int(ctx._exp[1]), e))
+    with pytest.raises(AssertionError, match="is not a generator"):
+        FieldCtx(6)
+
+
 def test_known_products(ctx3):
     # x * x^2 = x^3 = x + 1 mod x^3+x+1
     assert ctx3.mul(0b010, 0b100) == 0b011
