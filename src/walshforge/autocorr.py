@@ -41,7 +41,7 @@ import numpy as np
 
 from .field import BATCH, FieldCtx, pack_bits, popcount
 
-X_ALPHA_MAX_M = 17  # the full table costs about q^2 / 128 word XOR-and-popcounts
+X_ALPHA_MAX_M = 19  # the full table costs about q^2 / 128 word XOR-and-popcounts
 TILE = 4 * BATCH  # uint64 words of the block tile: 256 KB, which stays in L2
 # (shift 2^b, the bits k whose bit b is clear) of the delta-swap b
 _SWAPS = [(np.uint64(1 << b), np.uint64((1 << 64) // ((1 << (1 << b)) + 1))) for b in range(6)]

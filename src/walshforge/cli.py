@@ -17,8 +17,10 @@ Exit codes: 0 all hard checks pass, 1 a mathematical check failed, 2 usage or
 configuration error.  Reports carry a determinism hash over everything except
 the metadata block, so two runs with the same config and seed hash identically.
 Commands run in one process share the field context of their (m, modulus),
-so a field's tables are built once per process.
-``--threads`` is accepted for compatibility and has no effect.
+so a field's tables are built once per process.  Each command checks all of
+its input before it builds a field, so a bad command exits 2 having spent no
+field-sized work.  ``--threads``, and ``--slow`` on analyze and verify, are
+accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
 from .field import MAX_M, FieldCtx, default_modulus
 from .genus2 import (classify, classify_curves, count_points, count_points_all,
                      curve_from_json, curve_to_dict)
-from .spectrum import amplitude_counts, fwht, l4_fourth, linf, nonlinearity, parseval_sum
+from .spectrum import (amplitude_counts, divisibility_check, fwht, l4_fourth, linf,
+                       nonlinearity, parseval_sum)
 from .autocorr import X_ALPHA_MAX_M, sigma_autocorr, sigma_decomposition, x_alpha_all
 from .classify7 import (_odd_m_bound, check_linf_lower, check_linf_upper, check_sigma_bound,
                         classify_all, count_n0_n, eta_all)
@@ -50,7 +53,7 @@ from .report import Check, Report, compare
 
 ALL_CHECKS = ("spectrum", "autocorr", "predictor", "bounds", "auxcurve", "genus2")
 ODD_ONLY_CHECKS = ("autocorr", "predictor", "auxcurve")
-SLOW_M = 16  # the X_alpha commands take over ~1 s from here (README gives figures)
+TABLE_CHECKS = ("autocorr", "genus2")  # the routes that read the X_alpha table
 MAX_COUNT = 2 ** 16  # largest scan/verify --count: the corpus is one list built up front
 SCHEMA = "walsh-forge/1"
 
@@ -74,16 +77,13 @@ def _read_arg_or_file(value: str) -> str:
 def _field(m: int, modulus: int) -> FieldCtx:
     """The context every command of this process at (m, modulus) shares, so
     its tables are built once.  One entry: an idle process holds at most one
-    field (24 MB plus 4 MB per exponent used at m = 20, and genus2's tables,
-    11 MB at m = 17).  A ValueError is
-    raised again on every call, never cached."""
+    field (at m = 20, 24 MB of log tables, plus 8 MB per uint64 and 4 MB per
+    uint32 power word, 12 MB for G with s = 2; and genus2's tables, 11 MB at
+    m = 17).  A ValueError is raised again on every call, never cached."""
     return FieldCtx(m, modulus)
 
 
 def _build_ctx(args) -> FieldCtx:
-    if args.m > MAX_M:
-        raise UsageError(f"m={args.m} above {MAX_M}: every command holds "
-                         "whole-field arrays of 2^m elements")
     try:
         modulus = int(args.modulus, 16) if args.modulus else default_modulus(args.m)
         return _field(args.m, modulus)
@@ -91,34 +91,37 @@ def _build_ctx(args) -> FieldCtx:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_checks(args, m: int) -> tuple[str, ...]:
-    if args.checks is not None:
-        sel = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        unknown = [c for c in sel if c not in ALL_CHECKS]
-        if unknown:
-            raise UsageError(f"unknown checks {unknown}; available: {','.join(ALL_CHECKS)}")
-        if not sel:
-            raise UsageError(f"--checks {args.checks!r} names no check of {','.join(ALL_CHECKS)}")
-    else:
-        sel = ALL_CHECKS
-    if m % 2 == 0:
-        for c in sel:
-            if c in ODD_ONLY_CHECKS:
-                raise UsageError(f"check '{c}' requires odd m, got m={m}")
+def _check_m(m: int) -> None:
+    # first of every command's checks: the others read 1 << m, an error at m < 0
+    if m > MAX_M:
+        raise UsageError(f"m={m} above {MAX_M}: every command holds "
+                         "whole-field arrays of 2^m elements")
+    if m < 2:
+        raise UsageError(f"m={m} below 2: the smallest field here is GF(2^2)")
+
+
+def _resolve_checks(args) -> tuple[str, ...]:
+    if args.checks is None:
+        return ALL_CHECKS
+    sel = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    unknown = [c for c in sel if c not in ALL_CHECKS]
+    if unknown:
+        raise UsageError(f"unknown checks {unknown}; available: {','.join(ALL_CHECKS)}")
+    if not sel:
+        raise UsageError(f"--checks {args.checks!r} names no check of {','.join(ALL_CHECKS)}")
     return sel
 
 
-def _require_slow(args) -> None:
-    """Gate for the commands that build the O(q^2) X_alpha table."""
-    if args.m > X_ALPHA_MAX_M:
-        raise UsageError(f"m={args.m}: the X_alpha table (autocorr, genus2, verify) "
+def _check_routes(m: int, routes: tuple[str, ...]) -> None:
+    odd_only = [c for c in routes if c in ODD_ONLY_CHECKS]
+    if m % 2 == 0 and odd_only:
+        raise UsageError(f"check '{odd_only[0]}' requires odd m, got m={m}")
+    if m > X_ALPHA_MAX_M and any(c in routes for c in TABLE_CHECKS):
+        raise UsageError(f"m={m}: the X_alpha table (autocorr, genus2, verify) "
                          f"is limited to m <= {X_ALPHA_MAX_M}")
-    if args.m >= SLOW_M and not args.slow:
-        raise UsageError(
-            f"m={args.m} runs an O(q^2) sweep; pass --slow to confirm")
 
 
-def _load_g(args, ctx: FieldCtx) -> TracePoly | None:
+def _load_g(args) -> TracePoly | None:
     if not args.g:
         return None
     try:
@@ -126,27 +129,27 @@ def _load_g(args, ctx: FieldCtx) -> TracePoly | None:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     top = max([g.a7, *g.b])
-    if top >= ctx.q:
-        raise UsageError(f"coefficient {top:#x} outside field of size 2^{ctx.m}")
-    _check_s(g.s, ctx)
+    if top >= 1 << args.m:
+        raise UsageError(f"coefficient {top:#x} outside field of size 2^{args.m}")
+    _check_s(g.s, args.m)
     return g
 
 
-def _check_s(s: int, ctx: FieldCtx) -> None:
+def _check_s(s: int, m: int) -> None:
     # x^(2^i+1) = x^(2^(i mod m)+1) on GF(2^m), so b_i with i >= m is an alias
-    if not 0 <= s < ctx.m:
-        raise UsageError(f"s={s} outside 0..m-1={ctx.m - 1}: b_i with i >= m "
+    if not 0 <= s < m:
+        raise UsageError(f"s={s} outside 0..m-1={m - 1}: b_i with i >= m "
                          f"aliases b_(i mod m)")
 
 
-def _corpus(args, ctx: FieldCtx) -> list[TracePoly]:
+def _corpus(args) -> list[TracePoly]:
     # the generator keeps 64 bits of state, so a wider seed would alias one
     if not 0 <= args.seed < 1 << 64:
         raise UsageError(f"--seed must be in [0, 2^64), got {args.seed:#x}")
     if not 1 <= args.count <= MAX_COUNT:
         raise UsageError(f"{args.cmd} needs 1 <= --count <= {MAX_COUNT}, got {args.count}")
-    _check_s(args.s, ctx)
-    return standard_corpus(ctx.q, args.count, args.s, args.seed)
+    _check_s(args.s, args.m)
+    return standard_corpus(1 << args.m, args.count, args.s, args.seed)
 
 
 def _tagged(checks: list[Check], i: int) -> list[Check]:
@@ -162,7 +165,7 @@ def _spectrum_section(ctx, g, counts, bounds: bool):
     row = {"linf": lv, "nl": nonlinearity(counts), "sigma4_spectrum": sigma}
     checks = [compare("parseval", parseval_sum(counts), "==", ctx.q * ctx.q)]
     if bounds:
-        divisor = 1 << -(-ctx.m // 3)  # 2^ceil(m/d) for binary degree d = 3
+        divisor = divisibility_check(counts, 3)["divisor"]  # binary degree d = 3
         checks += [compare("walsh_divisibility", lv % divisor, "==", 0,
                            note=f"divisor {divisor}"),
                    check_sigma_bound(ctx, g, sigma), *check_linf_lower(ctx, g, lv),
@@ -261,7 +264,7 @@ def _run_routes(ctx, g, routes, note: str = ""):
         checks.extend(section_checks)
 
     spectral = "spectrum" in routes or "bounds" in routes
-    with_table = "autocorr" in routes or "genus2" in routes
+    with_table = any(c in routes for c in TABLE_CHECKS)
     bits = truth_table(ctx, g) if spectral or with_table else None
     arrays = {"table": x_alpha_all(ctx, bits) if with_table else None}
     if spectral:
@@ -284,13 +287,12 @@ def _run_routes(ctx, g, routes, note: str = ""):
 # subcommands
 
 def cmd_analyze(args) -> Report:
-    ctx = _build_ctx(args)
-    checks_sel = _resolve_checks(args, args.m)
-    if "autocorr" in checks_sel or "genus2" in checks_sel:
-        _require_slow(args)
-    g = _load_g(args, ctx)
+    checks_sel = _resolve_checks(args)
+    _check_routes(args.m, checks_sel)
+    g = _load_g(args)
     if g is None:
         raise UsageError("analyze needs --g")
+    ctx = _build_ctx(args)
     summary, checks, _ = _run_routes(ctx, g, checks_sel,
                                      note="(N0, N) predictor vs autocorrelation")
     config = {"cmd": "analyze", "m": ctx.m, "modulus": hex(ctx.modulus),
@@ -299,8 +301,8 @@ def cmd_analyze(args) -> Report:
 
 
 def cmd_scan(args) -> Report:
+    corpus = _corpus(args)
     ctx = _build_ctx(args)
-    corpus = _corpus(args, ctx)
     rows = []
     checks: list[Check] = []
     for i, g in enumerate(corpus):
@@ -325,19 +327,17 @@ def cmd_scan(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    if args.m % 2 == 0:
-        raise UsageError(f"check 'predictor' requires odd m, got m={args.m}")
-    _require_slow(args)
-    ctx = _build_ctx(args)
-    checks_sel = _resolve_checks(args, args.m)
+    checks_sel = _resolve_checks(args)
     if args.checks is not None and {"spectrum", "bounds"} & set(checks_sel):
         raise UsageError("verify always runs the spectrum, autocorr and predictor routes, "
                          "and --checks adds genus2 and auxcurve; "
                          "analyze --checks shows the spectrum and bounds checks")
-    g0 = _load_g(args, ctx)
-    corpus = [g0] if g0 is not None else _corpus(args, ctx)
     routes = ("spectrum", "autocorr", "predictor",
               *(c for c in ("genus2", "auxcurve") if c in checks_sel))
+    _check_routes(args.m, routes)
+    g0 = _load_g(args)
+    corpus = [g0] if g0 is not None else _corpus(args)
+    ctx = _build_ctx(args)
     checks: list[Check] = []
     mismatches: list[dict] = []
     alphas = len(corpus) * (ctx.q - 1)
@@ -375,15 +375,15 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_curve(args) -> Report:
-    ctx = _build_ctx(args)
     if not args.curve:
         raise UsageError("curve needs --curve (JSON or file)")
     try:
         cv = curve_from_json(_read_arg_or_file(args.curve))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if max(cv.a, cv.b, cv.c, cv.d) >= ctx.q:
+    if max(cv.a, cv.b, cv.c, cv.d) >= 1 << args.m:
         raise UsageError("curve coefficient outside the field")
+    ctx = _build_ctx(args)
     data = classify(ctx, cv)
     actual = count_points(ctx, cv)
     checks = [
@@ -431,9 +431,8 @@ def _add_common(p: argparse.ArgumentParser, slow: bool = False) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and echoed in the report's meta; has no effect")
-    if slow:  # analyze and verify, the commands with an O(q^2) sweep
-        p.add_argument("--slow", action="store_true",
-                       help=f"allow O(q^2) sweeps at m >= {SLOW_M}")
+    if slow:  # analyze and verify: the benchmark's analyze commands pass it
+        p.add_argument("--slow", action="store_true", help="accepted for compatibility; no effect")
 
 
 def _add_g(p: argparse.ArgumentParser) -> None:
@@ -493,6 +492,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
+        _check_m(args.m)
         report = args.func(args)
         _emit(report, args, (time.monotonic() - start) * 1000.0)
         sys.stdout.flush()

@@ -199,11 +199,12 @@ def divisibility_check(counts: np.ndarray, d: int) -> dict:
     if d < 1:
         raise ValueError("binary degree d must be >= 1")
     lv = linf(counts)
-    m = int(counts.sum()).bit_length() - 1
-    divisor = 1 << (-(-m // d))
+    q = int(counts.sum())
+    divisor = 1 << (-(-(q.bit_length() - 1) // d))
     return {
         "divisor": divisor,
         "linf": lv,
         "divides": lv % divisor == 0,
-        "all_values_divisible": bool((np.flatnonzero(counts) % divisor == 0).all()),
+        # every amplitude is a multiple iff those entries hold all q of them
+        "all_values_divisible": int(counts[::divisor].sum()) == q,
     }

@@ -564,11 +564,16 @@ def test_packed_x_alpha_matches_scalar_on_every_top_bit_block(data):
 
 @pytest.mark.slow
 def test_packed_x_alpha_matches_scalar_at_the_largest_field():
-    # at m = 17 a hi row (65536 words) is larger than a tile, so every block
-    # is one row, and the group of top bit 10 runs 1024 of them
-    ctx = FieldCtx(17)
+    # at m = 19 a hi row (2^18 words) is larger than a tile, so every block is
+    # one row, and the group of top bit 12 runs 4096 of them; its first row
+    # fills the tile and its last follows the longest run of in-place updates
+    m = autocorr.X_ALPHA_MAX_M
+    assert m == 19
+    ctx = FieldCtx(m)
     g = TracePoly(0x1f3, (0x3, 0x5, 0x9))
-    assert_sampled_x_alpha_match_scalar(ctx, truth_table(ctx, g), sample_alphas(17, 12, 17))
+    rows = sorted({hi for t in range(m - 6) for hi in (1 << t, (2 << t) - 1)})
+    alphas = [*range(1, 64), *(64 * hi + lo for hi in rows for lo in (0, 1, 62, 63))]
+    assert_sampled_x_alpha_match_scalar(ctx, truth_table(ctx, g), alphas)
 
 
 @pytest.mark.parametrize("m", PACKED_M)

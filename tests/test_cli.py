@@ -17,7 +17,7 @@ import walshforge.genus2 as genus2
 from walshforge.boolfn import (TracePoly, reduce_difference_all, tracepoly_from_json,
                                tracepoly_to_dict)
 from walshforge.classify7 import EVEN_M_NOTE, check_linf_lower, classify_all
-from walshforge.cli import SLOW_M, main
+from walshforge.cli import main
 from walshforge.field import FieldCtx, default_modulus
 
 from oracles import field_isomorphism, other_modulus
@@ -561,17 +561,74 @@ def test_cold_and_warm_runs_hash_alike(capsys):
     assert hashes == [digest, digest]
 
 
-# m = 18 is the first size above the limit; the odd-only autocorr and verify
-# reject it for its parity first, so they are refused at m = 19
+# m = 20 is the one size above the limit; the odd-only autocorr and verify
+# refuse it for its parity first, so genus2 is the route that meets the limit
 @pytest.mark.parametrize("argv", [
-    ("analyze", "--m", "19", "--slow", "--checks", "autocorr", "--g", '{"a7":"0x1"}'),
-    ("analyze", "--m", "18", "--slow", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
-    ("analyze", "--m", "19", "--checks", "spectrum,autocorr", "--g", '{"a7":"0x1"}'),
-    ("verify", "--m", "19", "--slow", "--count", "1"),
+    ("analyze", "--m", "20", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "20", "--slow", "--checks", "genus2", "--g", '{"a7":"0x1"}'),
+    ("analyze", "--m", "20", "--checks", "spectrum,bounds,genus2", "--g", '{"a7":"0x1"}'),
+    # the limit is checked before --g is read
+    ("analyze", "--m", "20", "--checks", "genus2", "--g", '{"a7":"0x100000"}'),
 ])
 def test_x_alpha_table_size_refused_up_front(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert code == 2 and "m <= 17" in err and not out
+    assert code == 2 and "m <= 19" in err and not out
+
+
+G_1 = '{"a7":"0x1"}'
+CURVE_1 = '{"a":"0x1","b":"0x2","c":"0x3","d":"0x1"}'
+# one of each usage refusal, at the largest fields, where a field built first
+# would cost 0.2-0.4 s and 35 MB
+REFUSED = [
+    # m outside 2..MAX_M, for every command
+    *([cmd, "--m", m, *rest] for m in ("-1", "0", "1", "21")
+      for cmd, rest in (("analyze", ["--g", G_1]), ("scan", []), ("verify", []),
+                        ("curve", ["--curve", CURVE_1]))),
+    # an unknown or empty --checks, and verify's spectral checks
+    ["analyze", "--m", "20", "--checks", "spectru", "--g", G_1],
+    ["analyze", "--m", "20", "--checks", ",", "--g", G_1],
+    ["verify", "--m", "19", "--checks", "genus3"],
+    ["verify", "--m", "19", "--checks", " "],
+    ["verify", "--m", "19", "--checks", "bounds"],
+    # an odd-only route at even m: every verify runs autocorr and predictor
+    ["analyze", "--m", "20", "--checks", "predictor", "--g", G_1],
+    ["analyze", "--m", "20", "--checks", "spectrum,auxcurve", "--g", G_1],
+    ["verify", "--m", "20"],
+    # the X_alpha table above X_ALPHA_MAX_M
+    ["analyze", "--m", "20", "--checks", "genus2", "--g", G_1],
+    # --g: missing, malformed, outside the field, or s outside 0..m-1
+    ["analyze", "--m", "20", "--checks", "spectrum"],
+    ["analyze", "--m", "20", "--checks", "spectrum", "--g", "{broken"],
+    ["analyze", "--m", "20", "--checks", "spectrum", "--g", '{"a7":"0x100000"}'],
+    ["analyze", "--m", "20", "--checks", "spectrum", "--g", '{"a7":"0x1","s":-1}'],
+    ["verify", "--m", "19", "--g", '{"a7":"0x80000"}'],
+    ["verify", "--m", "19", "--g", '{"a7":"0x1","b":{"19":"0x1"}}'],
+    # the corpus options
+    ["scan", "--m", "20", "--count", "0"],
+    ["scan", "--m", "20", "--count", str(cli.MAX_COUNT + 1)],
+    ["scan", "--m", "20", "--s", "20"],
+    ["scan", "--m", "20", "--seed", "-1"],
+    ["verify", "--m", "19", "--count", "0"],
+    ["verify", "--m", "19", "--s", "19"],
+    ["verify", "--m", "19", "--seed", str(2 ** 64)],
+    # curve: missing, malformed, degenerate or outside the field
+    ["curve", "--m", "20"],
+    ["curve", "--m", "20", "--curve", "{broken"],
+    ["curve", "--m", "20", "--curve", '{"a":"0x0","b":"0x1","c":"0x0","d":"0x0"}'],
+    ["curve", "--m", "20", "--curve", '{"a":"0x100000","b":"0x1","c":"0x0","d":"0x0"}'],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_every_usage_refusal_comes_before_the_field(capsys, monkeypatch, argv):
+    def no_field(*args):
+        raise AssertionError(f"field built for a refused command: {args}")
+
+    cli._field.cache_clear()
+    monkeypatch.setattr(cli, "_field", no_field)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 LIMITED = """
@@ -676,7 +733,7 @@ G_JSON = st.fixed_dictionaries({"a7": COEF}, optional={
 CURVE_JSON = st.fixed_dictionaries({k: COEF for k in "abcd"}, optional={"x": JSON_VALUES})
 
 
-# every CLI argument; fields stay at m <= 9 and corpora at --count <= 2, so an
+# every CLI argument, m below 2 too; fields stay at m <= 9 and corpora at --count <= 2, so an
 # example that is not refused outright still finishes well inside the deadline
 MODULUS = st.sampled_from(["0x25", "0x29", "0x83", "0x211", "0x27", "0x82", "0x3", "0x1",
                            "0", "-0x25", "25", "zz", ""])
@@ -696,7 +753,7 @@ ACCEPTS = {"analyze": {"--modulus", "--checks"},
 
 
 @settings(max_examples=100, deadline=2000)
-@given(m=st.integers(2, 9), cmd=st.sampled_from(sorted(ACCEPTS)), options=OPTIONS,
+@given(m=st.integers(-1, 9), cmd=st.sampled_from(sorted(ACCEPTS)), options=OPTIONS,
        g=G_JSON, with_g=st.booleans(), curve=CURVE_JSON, missing_out=st.booleans())
 def test_generated_inputs_never_raise(tmp_path_factory, m, cmd, options, g, with_g, curve,
                                       missing_out):
@@ -727,21 +784,13 @@ def test_curve_malformed_json_exits_2(capsys):
     assert code == 2
 
 
-def test_slow_gate(capsys):
-    assert SLOW_M == 16
-    code, out, err = run(capsys, "analyze", "--m", "16", "--g", '{"a7":"0x1"}',
-                         "--checks", "spectrum,genus2")
-    assert code == 2 and "--slow" in err
-    code, out, err = run(capsys, "verify", "--m", "17", "--count", "1")
-    assert code == 2 and "--slow" in err
-    # one below the gate the X_alpha table runs without the flag
-    code, doc = run_json(capsys, "analyze", "--m", "15", "--g", '{"a7":"0x1"}',
-                         "--checks", "spectrum,autocorr")
-    assert code == 0 and "sigma4_autocorr" in doc["summary"]
-    # spectrum-only analysis is cheap and stays available without the flag
-    code, doc = run_json(capsys, "analyze", "--m", "16", "--g", '{"a7":"0x1"}',
-                         "--checks", "spectrum,bounds")
-    assert code == 0
+def test_slow_changes_no_report(capsys):
+    # analyze and verify accept --slow, with no effect, as the benchmark's
+    # commands pass it with --threads 1
+    pinned = [(argv, digest) for argv, digest in PINNED if argv[0] in ("analyze", "verify")]
+    assert pinned
+    for argv, digest in pinned:
+        assert run_json(capsys, *argv, "--threads", "1", "--slow")[1]["determinism_hash"] == digest
 
 
 @pytest.mark.parametrize("argv", [
@@ -752,7 +801,7 @@ def test_slow_gate(capsys):
     ["scan", "--m", "5", "--cou", "2"],
     ["verify", "--m", "5", "--count", "1", "--selftest"],
     ["analyze", "--m", "5", "--che", "spectrum", "--g", '{"a7":"0x3"}'],
-    # --slow gates the O(q^2) sweeps of analyze and verify; scan and curve run none
+    # analyze and verify accept --slow, with no effect; scan and curve never took it
     ["scan", "--m", "5", "--slow"],
     ["curve", "--m", "5", "--slow", "--curve", '{"a":"0x1","b":"0x2","c":"0x3","d":"0x1"}']])
 def test_removed_spellings_exit_2(capsys, argv):

@@ -289,6 +289,12 @@ def test_divisibility_check(ctx9):
     assert rep["divisor"] == 2 ** 3  # ceil(9/3)
     assert rep["divides"]
     assert rep["all_values_divisible"]
+    # q = 8, divisor 2: amplitudes 2 and 3, so neither holds
+    rep = divisibility_check(np.array([0, 0, 4, 4], dtype=np.int64), 3)
+    assert rep["divisor"] == 2 and not rep["divides"] and not rep["all_values_divisible"]
+    # amplitudes 1 and 4: linf divides, one amplitude does not
+    rep = divisibility_check(np.array([0, 6, 0, 0, 2], dtype=np.int64), 3)
+    assert rep["divides"] and not rep["all_values_divisible"]
 
 
 NORMS = [linf, nonlinearity, l4_fourth, parseval_sum, parseval_ok,
